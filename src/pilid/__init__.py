@@ -12,10 +12,17 @@ from pilid.pl_component import (
     PiecewiseLinearParams,
     FeatureShape,
     linear_forward,
+    curve_forward,
     init_least_squares,
     extract_shapes,
 )
-from pilid.mlp_component import MlpParams, mlp_forward, mlp_backward, init_gaussian
+from pilid.mlp_component import (
+    MlpParams,
+    mlp_forward,
+    mlp_predict,
+    mlp_backward,
+    init_gaussian,
+)
 from pilid.trainer import PilidModel, TrainConfig, model_forward, train
 from pilid.pilib import PilibModel, PilibGates, train_pilib
 from pilid.synth import SyntheticSpec, generate, shape_recovery_score
@@ -26,8 +33,9 @@ __all__ = [
     "Dataset", "FeatureSpec", "load_csv", "split", "batches",
     "CharacteristicPoints", "build_points", "encode", "encode_matrix",
     "PiecewiseLinearParams", "FeatureShape", "linear_forward",
-    "init_least_squares", "extract_shapes",
-    "MlpParams", "mlp_forward", "mlp_backward", "init_gaussian",
+    "curve_forward", "init_least_squares", "extract_shapes",
+    "MlpParams", "mlp_forward", "mlp_predict", "mlp_backward",
+    "init_gaussian",
     "PilidModel", "TrainConfig", "model_forward", "train",
     "PilibModel", "PilibGates", "train_pilib",
     "SyntheticSpec", "generate", "shape_recovery_score",

@@ -117,7 +117,10 @@ def _read_feature_matrix(path, model) -> np.ndarray:
         raise CliError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        first = next(reader, None)
+        if first is None:
+            raise CliError(f"{path}: empty file")
+        header = [h.strip() for h in first]
         cols = []
         for name in model.feature_names:
             if name not in header:

@@ -98,6 +98,14 @@ def build_points(data: Dataset, gammas) -> CharacteristicPoints:
     return CharacteristicPoints(points=points, constant=constant)
 
 
+def check_rows(rows: np.ndarray, points: CharacteristicPoints) -> np.ndarray:
+    """Rows as a float64 (N, m) matrix; a single vector becomes one row."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if rows.shape[1] != points.m:
+        raise EncodingError(f"expected {points.m} features, got {rows.shape[1]}")
+    return rows
+
+
 def encode_matrix(rows: np.ndarray, points: CharacteristicPoints) -> np.ndarray:
     """Encode an (N, m) matrix row-wise into the (N, gamma) representation.
 
@@ -105,9 +113,7 @@ def encode_matrix(rows: np.ndarray, points: CharacteristicPoints) -> np.ndarray:
     clip((x_j - knot_{k-1}) / (knot_k - knot_{k-1}), 0, 1), which equals the
     ones / fraction / zeros definition exactly.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[1] != points.m:
-        raise EncodingError(f"expected {points.m} features, got {rows.shape[1]}")
+    rows = check_rows(rows, points)
     out = np.zeros((rows.shape[0], points.total))
     for j, p in enumerate(points.points):
         if points.constant[j]:

@@ -6,7 +6,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from pilid.dataset import Dataset, REGRESSION, CLASSIFICATION, split
 from pilid.synth import SyntheticSpec, generate
@@ -27,6 +26,18 @@ def mse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean((pred - truth) ** 2))
 
 
+def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of tied values shares the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    # a run at sorted positions starts..ends-1 holds ranks starts+1..ends
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney rank AUC; ties contribute one half."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -37,7 +48,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise MetricsError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _tie_averaged_ranks(scores)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2)
                  / (n_pos * n_neg))
 

@@ -56,8 +56,10 @@ class MlpGrads:
     x: np.ndarray = field(repr=False, default=None)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    if kind == "relu":
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
 
 
 def _act_deriv_from_h(h: np.ndarray, kind: str) -> np.ndarray:
@@ -65,24 +67,44 @@ def _act_deriv_from_h(h: np.ndarray, kind: str) -> np.ndarray:
     return (h > 0).astype(np.float64) if kind == "relu" else 1.0 - h * h
 
 
+def _input_batch(x: np.ndarray, params: MlpParams) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise MlpError("non-finite input")
+    h = np.atleast_2d(x)
+    if h.shape[1] != params.input_dim:
+        raise MlpError(f"input width {h.shape[1]} != {params.input_dim}")
+    return h
+
+
 def mlp_forward(x: np.ndarray, params: MlpParams):
     """Evaluate the network; returns (output, cache of layer activations).
 
     Accepts a single length-m vector (scalar output) or an (N, m) batch.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise MlpError("non-finite input")
-    single = x.ndim == 1
-    h = np.atleast_2d(x)
-    if h.shape[1] != params.input_dim:
-        raise MlpError(f"input width {h.shape[1]} != {params.input_dim}")
+    h = _input_batch(x, params)
     cache = [h]
     for W, b in zip(params.weights, params.biases):
         h = _act(h @ W.T + b, params.activation)
         cache.append(h)
     out = h @ params.head_w + params.head_b
-    return (float(out[0]) if single else out), cache
+    return (float(out[0]) if np.ndim(x) == 1 else out), cache
+
+
+def mlp_predict(x: np.ndarray, params: MlpParams):
+    """The output of mlp_forward, bit for bit, without the activation cache:
+    for inference, where no backward pass follows.  Each layer adds its
+    bias and applies its activation in place on its matmul output, so one
+    array per layer is allocated and one layer's activations are alive at
+    a time."""
+    h = _input_batch(x, params)
+    for W, b in zip(params.weights, params.biases):
+        z = h @ W.T
+        z += b
+        h = _act(z, params.activation, out=z)
+    out = h @ params.head_w
+    out += params.head_b
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def mlp_backward(params: MlpParams, cache: list[np.ndarray],

@@ -140,15 +140,19 @@ def load(path):
     except OSError as exc:
         raise PersistError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(MAGIC):
+    head = lines[0].split() if lines else []
+    if head[:1] != [MAGIC]:
         raise PersistError(f"{path}: not a model file")
-    version = lines[0].split()[1]
+    if len(head) < 2:
+        raise PersistError(f"{path}: missing format version")
+    version = head[1]
     if version != str(FORMAT_VERSION):
         raise PersistError(f"{path}: unsupported format version {version} "
                            f"(expected {FORMAT_VERSION})")
-    if len(lines) < 2 or not lines[1].startswith("checksum "):
+    check = lines[1].split() if len(lines) > 1 else []
+    if len(check) != 2 or check[0] != "checksum":
         raise PersistError(f"{path}: missing checksum")
-    stored = lines[1].split()[1]
+    stored = check[1]
     payload = "\n".join(lines[2:])
     if not payload.endswith("\n"):
         payload += "\n"

@@ -15,9 +15,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pilid.dataset import Dataset, CLASSIFICATION, batches
-from pilid.encoding import CharacteristicPoints, build_points, encode_matrix
-from pilid.mlp_component import MlpParams, init_gaussian, mlp_backward, mlp_forward
-from pilid.pl_component import PiecewiseLinearParams, init_least_squares, linear_forward
+from pilid.encoding import (
+    CharacteristicPoints,
+    build_points,
+    check_rows,
+    encode_matrix,
+)
+from pilid.mlp_component import (
+    MlpParams,
+    init_gaussian,
+    mlp_backward,
+    mlp_forward,
+    mlp_predict,
+)
+from pilid.pl_component import (
+    PiecewiseLinearParams,
+    curve_forward,
+    init_least_squares,
+    linear_forward,
+)
 from pilid.trainer import (
     Adam,
     TrainConfig,
@@ -26,6 +42,7 @@ from pilid.trainer import (
     _parse_widths,
     _reg_grad,
     _reg_value,
+    predict_in_blocks,
     sigmoid,
 )
 
@@ -135,17 +152,21 @@ def _lk_penalty_gate_grad(khat: np.ndarray, K: int, lambda0: float) -> np.ndarra
 
 def pilib_forward(model: PilibModel, x: np.ndarray, mode: str = "eval"):
     """Score = wide component + sum of gated block outputs; prediction is
-    the sigmoid of the score for classification."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    phi = encode_matrix(X, model.points)
-    score = linear_forward(phi, model.pl, model.points)
+    the sigmoid of the score for classification.  Evaluated like
+    trainer.model_score without an encoded matrix: shape curves and
+    cache-free blocks, in fixed-size row blocks."""
+    single = np.ndim(x) == 1
+    X = check_rows(x, model.points)
     G = model.hard_gates if model.hard_gates is not None \
         else gate_values(model.gates, mode)
-    for i, block in enumerate(model.blocks):
-        out, _ = mlp_forward(X * G[i], block)
-        score = score + out
+
+    def score_rows(rows):
+        score = curve_forward(rows, model.pl, model.points)
+        for i, block in enumerate(model.blocks):
+            score = score + mlp_predict(rows * G[i], block)
+        return score
+
+    score = predict_in_blocks(score_rows, X)
     if model.task == CLASSIFICATION:
         pred = sigmoid(score)
     else:
@@ -196,13 +217,11 @@ def pilib_loss_and_grads(model: PilibModel, X: np.ndarray, y: np.ndarray,
     train_gates = phase == 1
     G = gate_values(model.gates, "train") if train_gates else hard_gates
     score = linear_forward(phi, model.pl, model.points)
-    caches, masked = [], []
+    caches = []
     for i, block in enumerate(model.blocks):
-        Xi = X * G[i]
-        out, cache = mlp_forward(Xi, block)
+        out, cache = mlp_forward(X * G[i], block)
         score = score + out
         caches.append(cache)
-        masked.append(Xi)
     data, dscore = _data_loss_and_grad(score, y, model.task)
 
     grads: dict[str, np.ndarray] = {}
@@ -358,7 +377,6 @@ def interaction_surface(model: PilibModel, features: tuple[int, int],
         rows[:, b] = xs_b
         total = np.zeros(grid)
         for i in keep:
-            out, _ = mlp_forward(rows * G[i], model.blocks[i])
-            total += out
+            total += mlp_predict(rows * G[i], model.blocks[i])
         surface[r] = total
     return xs_a, xs_b, surface

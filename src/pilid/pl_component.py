@@ -2,7 +2,9 @@
 
 Per-unit affine transform of the encoded vector, summed within each
 feature's block and scaled by a per-feature factor omega.  The learned
-weights read out directly as per-feature shape curves.
+weights read out directly as per-feature shape curves, and prediction
+evaluates those curves on the raw features (`curve_forward`); training
+uses the encoded form (`linear_forward`), whose backward needs it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pilid.encoding import CharacteristicPoints
+from pilid.encoding import CharacteristicPoints, check_rows
 
 
 class LinearComponentError(ValueError):
@@ -78,6 +80,35 @@ def linear_forward(phi: np.ndarray, params: PiecewiseLinearParams,
             f"encoded width {phi2.shape[1]} does not match layout {points.total}")
     scale = params.omega[points.feature_index]
     out = params.w0 + phi2 @ (scale * params.w) + (phi2 > 0) @ (scale * params.b)
+    return float(out[0]) if single else out
+
+
+def curve_forward(rows: np.ndarray, params: PiecewiseLinearParams,
+                  points: CharacteristicPoints):
+    """linear_forward(encode_matrix(rows)), read off the shape curves.
+
+    Feature j's term sum_k w_k phi_k(x) is the linear interpolant of
+    [0, cumsum(w_j)] over its knots, and sum_k b_k [phi_k > 0] is the sum
+    of b_j over the knots strictly below x.  Both hold their end values
+    outside [first knot, last knot], the clamp encode_matrix applies.
+    Constant features add nothing.  Time is O(N m log gamma) and memory
+    O(N): the (N, gamma) encoding is never built.  Accepts a single raw
+    vector or an (N, m) matrix.
+    """
+    _check_layout(params, points)
+    single = np.ndim(rows) == 1
+    X = check_rows(rows, points)
+    total = np.zeros(X.shape[0])
+    for j, p in enumerate(points.points):
+        if points.constant[j]:
+            continue
+        o, g = points.offsets[j], points.gammas[j]
+        x = X[:, j]
+        w_curve = np.concatenate(([0.0], np.cumsum(params.w[o:o + g])))
+        b_steps = np.concatenate(([0.0], np.cumsum(params.b[o:o + g])))
+        total += params.omega[j] * (
+            np.interp(x, p, w_curve) + b_steps[np.searchsorted(p[:-1], x)])
+    out = params.w0 + total
     return float(out[0]) if single else out
 
 

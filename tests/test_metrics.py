@@ -87,6 +87,20 @@ class TestAuc:
                 wins += 1.0 if sp > sn else (0.5 if sp == sn else 0.0)
         assert auc(scores, labels) == pytest.approx(wins / total, abs=1e-12)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_heavy_ties_match_brute_force_mann_whitney(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        scores = rng.integers(-2, int(rng.integers(-1, 6)), n).astype(float)
+        labels = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+        labels[:2] = [0.0, 1.0]
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        wins = sum(1.0 if p > q else 0.5 if p == q else 0.0
+                   for p in pos for q in neg)
+        assert auc(scores, labels) == pytest.approx(
+            wins / (len(pos) * len(neg)), abs=1e-12)
+
 
 def small_config(task="regression", model="pilid"):
     return ExperimentConfig(

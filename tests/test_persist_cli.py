@@ -130,6 +130,13 @@ class TestCorruption:
         with pytest.raises(PersistError, match="not a model file"):
             load(path)
 
+    def test_bare_magic_line_names_missing_version(self, tmp_path):
+        path = tmp_path / "bare.plm"
+        path.write_text("pilid-model\n")
+        with pytest.raises(PersistError,
+                           match=f"{path}: missing format version"):
+            load(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistError, match="cannot read"):
             load(tmp_path / "absent.plm")
@@ -234,6 +241,27 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "pilid: error:" in err and "'x3'" in err
+
+    def test_predict_bare_model_header_exits_1(self, synth_csv, tmp_path,
+                                               capsys):
+        model_path = tmp_path / "bare.plm"
+        model_path.write_text("pilid-model\n")
+        assert run_cli("predict", "--model", str(model_path),
+                       "--data", str(synth_csv)) == 1
+        assert capsys.readouterr().err == \
+            f"pilid: error: {model_path}: missing format version\n"
+
+    def test_predict_empty_csv_exits_1(self, synth_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.plm"
+        assert run_cli("train", "--data", str(synth_csv), "--target", "y",
+                       "--epochs", "1", "--mlp", "4-1",
+                       "--out", str(model_path)) == 0
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(model_path),
+                       "--data", str(empty)) == 1
+        assert capsys.readouterr().err == f"pilid: error: {empty}: empty file\n"
 
     def test_bad_data_file_exits_1(self, tmp_path, capsys):
         code = run_cli("train", "--data", str(tmp_path / "none.csv"),
