@@ -193,28 +193,21 @@ def predict_in_blocks(score_rows, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def model_score(model: PilidModel, x: np.ndarray, phi: np.ndarray | None = None):
-    """Raw (pre-link) score for a single vector or an (N, m) batch.
-
-    Without `phi`, the wide component reads its shape curves on the raw
-    rows (`curve_forward`), block by block.  With the encoded matrix `phi`
-    of the rows, it uses `linear_forward`, as training does.
-    """
+def model_score(model: PilidModel, x: np.ndarray):
+    """Raw (pre-link) score for a single vector or an (N, m) batch, read
+    from the shape curves (`curve_forward`) block by block."""
     single = np.ndim(x) == 1
     X = check_rows(x, model.points)
 
-    def score_rows(rows, encoded=None):
+    def score_rows(rows):
         score = np.zeros(rows.shape[0])
         if model.pl is not None:
-            score = score + (
-                curve_forward(rows, model.pl, model.points) if encoded is None
-                else linear_forward(encoded, model.pl, model.points))
+            score = score + curve_forward(rows, model.pl, model.points)
         if model.mlp is not None:
             score = score + mlp_predict(rows, model.mlp)
         return score
 
-    score = predict_in_blocks(score_rows, X) if phi is None \
-        else score_rows(X, phi)
+    score = predict_in_blocks(score_rows, X)
     return float(score[0]) if single else score
 
 
@@ -231,9 +224,9 @@ def model_forward(model: PilidModel, x: np.ndarray):
 
 
 def loss(model: PilidModel, batch_x: np.ndarray, batch_y: np.ndarray,
-         config: TrainConfig, phi: np.ndarray | None = None) -> float:
+         config: TrainConfig) -> float:
     """Mean data loss on the batch plus lambda * Omega over the weights."""
-    score = model_score(model, np.atleast_2d(batch_x), phi=phi)
+    score = model_score(model, np.atleast_2d(batch_x))
     data, _ = _data_loss_and_grad(score, np.asarray(batch_y, dtype=np.float64),
                                   model.task)
     params = param_arrays(model)

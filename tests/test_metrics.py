@@ -57,6 +57,11 @@ class TestAuc:
         with pytest.raises(MetricsError):
             auc(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
 
+    def test_nan_score_gives_nan(self):
+        # a NaN would otherwise sort last and yield a finite, wrong AUC
+        scores = np.array([0.1, np.nan, 0.35, 0.8])
+        assert np.isnan(auc(scores, np.array([0.0, 0.0, 1.0, 1.0])))
+
     def test_length_mismatch(self):
         with pytest.raises(MetricsError):
             auc(np.ones(3), np.ones(2))

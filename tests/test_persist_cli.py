@@ -137,6 +137,12 @@ class TestCorruption:
                            match=f"{path}: missing format version"):
             load(path)
 
+    def test_checksum_line_without_value(self, tmp_path):
+        path = tmp_path / "nosum.plm"
+        path.write_text("pilid-model 1\nchecksum \nvariant pilid\n")
+        with pytest.raises(PersistError, match=f"{path}: missing checksum"):
+            load(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistError, match="cannot read"):
             load(tmp_path / "absent.plm")
