@@ -135,7 +135,9 @@ def _read_feature_matrix(path, model) -> np.ndarray:
                 raise CliError(f"{path}: bad row at line {r}") from None
     if not rows:
         raise CliError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    mat = np.asarray(rows, dtype=np.float64)
+    dataset.reject_non_finite(mat, path, model.feature_names)
+    return mat
 
 
 def _predict(model, rows: np.ndarray):

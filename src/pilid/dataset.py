@@ -113,13 +113,24 @@ def infer_spec(name: str, column: np.ndarray,
                        alpha=float(uniq[0]), beta=float(uniq[-1]))
 
 
+def reject_non_finite(mat: np.ndarray, path, columns: list[str]) -> None:
+    """Raise DatasetError naming the first NaN or infinite cell of a parsed
+    CSV matrix whose first row is line 2 and whose columns are `columns`."""
+    bad = ~np.isfinite(mat)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DatasetError(f"{path}: non-finite value {str(mat[r, c])!r} at "
+                           f"line {r + 2}, column {columns[c]!r}")
+
+
 def load_csv(path, target_column: str, task: str,
              categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
              kind_overrides: dict[str, str] | None = None) -> Dataset:
     """Load a header-row CSV of reals into a Dataset.
 
-    Every cell must parse as a real (categoricals pre-coded); missing or
-    unparseable cells are rejected with the offending row and column named.
+    Every cell must parse as a finite real (categoricals pre-coded);
+    missing, unparseable or non-finite cells are rejected with the
+    offending row and column named.
     """
     kind_overrides = kind_overrides or {}
     if task not in TASKS:
@@ -159,6 +170,7 @@ def load_csv(path, target_column: str, task: str,
     if len(data) < 2:
         raise DatasetError(f"{path}: need at least 2 data rows, got {len(data)}")
     mat = np.asarray(data, dtype=np.float64)
+    reject_non_finite(mat, path, header)
     targets = mat[:, t_idx]
     rows = np.delete(mat, t_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != t_idx]

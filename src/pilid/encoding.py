@@ -15,6 +15,12 @@ import numpy as np
 
 from pilid.dataset import Dataset, FeatureSpec
 
+# Rows per block for prediction and the least-squares start; bounds memory
+# independently of N.  Of 1024-8192 rows, 2048 predicted fastest on all
+# three benchmark models (one BLAS thread): larger blocks' temporaries were
+# faulted in afresh on every block, smaller ones lose BLAS efficiency.
+BLOCK_ROWS = 2048
+
 
 class EncodingError(ValueError):
     pass
@@ -25,7 +31,8 @@ class CharacteristicPoints:
     """Per-feature knot sequences plus the derived block layout.
 
     A degenerate (constant) feature keeps a single knot, a one-entry
-    all-zero block and `constant[j] = True`.
+    all-zero block and `constant[j] = True`.  Unit k of feature j is the
+    segment [knot_k, knot_{k+1}] of that feature.
     """
 
     points: list[np.ndarray]
@@ -33,6 +40,9 @@ class CharacteristicPoints:
     gammas: np.ndarray = field(init=False)          # block width per feature
     offsets: np.ndarray = field(init=False)         # block start per feature
     feature_index: np.ndarray = field(init=False)   # feature id per unit
+    varying: np.ndarray = field(init=False)         # non-constant feature ids
+    seg_start: np.ndarray = field(init=False)       # segment start per unit
+    seg_width: np.ndarray = field(init=False)       # segment width per unit
 
     def __post_init__(self):
         gammas = []
@@ -53,6 +63,12 @@ class CharacteristicPoints:
         self.gammas = np.asarray(gammas, dtype=np.intp)
         self.offsets = np.concatenate(([0], np.cumsum(self.gammas[:-1])))
         self.feature_index = np.repeat(np.arange(len(gammas)), self.gammas)
+        self.varying = np.flatnonzero(~np.asarray(self.constant, dtype=bool))
+        # a constant feature's unit gets a placeholder no row is located in
+        self.seg_start = np.concatenate([p[:-1] if len(p) > 1 else p
+                                         for p in self.points])
+        self.seg_width = np.concatenate([np.diff(p) if len(p) > 1 else [1.0]
+                                         for p in self.points])
 
     @property
     def m(self) -> int:

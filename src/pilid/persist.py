@@ -101,13 +101,18 @@ class _Reader:
         self.lines = lines
         self.pos = 0
 
-    def next(self, key: str) -> list[str]:
+    def next(self, key: str, count: int = 1) -> list[str]:
+        """Values of the next line, which must be `key` with at least
+        `count` values."""
         if self.pos >= len(self.lines):
             raise PersistError(f"truncated model file: expected {key!r}")
         parts = self.lines[self.pos].split()
         if not parts or parts[0] != key:
             raise PersistError(f"malformed model file: expected {key!r}, "
                                f"got {self.lines[self.pos][:40]!r}")
+        if len(parts) - 1 < count:
+            raise PersistError(f"malformed model file: expected {key!r} with "
+                               f"{count} value(s), got {len(parts) - 1}")
         self.pos += 1
         return parts[1:]
 
@@ -120,13 +125,13 @@ def _floats(tokens: list[str]) -> np.ndarray:
 
 
 def _read_mlp(r: _Reader, prefix: str) -> MlpParams:
-    activation, n_layers = r.next(f"{prefix}.meta")
+    activation, n_layers = r.next(f"{prefix}.meta", 2)
     weights, biases = [], []
     for l in range(int(n_layers)):
-        tok = r.next(f"{prefix}.W{l}")
+        tok = r.next(f"{prefix}.W{l}", 3)
         rows, cols = int(tok[0]), int(tok[1])
         weights.append(_floats(tok[2:]).reshape(rows, cols))
-        biases.append(_floats(r.next(f"{prefix}.b{l}")))
+        biases.append(_floats(r.next(f"{prefix}.b{l}", rows)))
     head_w = _floats(r.next(f"{prefix}.head_w"))
     head_b = _floats(r.next(f"{prefix}.head_b"))[0]
     return MlpParams(weights=weights, biases=biases, head_w=head_w,
@@ -165,11 +170,11 @@ def load(path):
     m = int(r.next("features")[0])
     names = []
     for j in range(m):
-        tok = r.next("name")
+        tok = r.next("name", 2)
         names.append(urllib.parse.unquote(tok[1]))
     pts, const = [], []
     for j in range(m):
-        tok = r.next("points")
+        tok = r.next("points", 3)
         const.append(tok[1] == "const")
         pts.append(_floats(tok[2:]))
     points = CharacteristicPoints(points=pts, constant=const)
@@ -179,18 +184,20 @@ def load(path):
         pl = None
     else:
         pl = PiecewiseLinearParams(
-            w=_floats(r.next("pl.w")), b=_floats(r.next("pl.b")),
-            omega=_floats(r.next("pl.omega")),
+            w=_floats(r.next("pl.w", points.total)),
+            b=_floats(r.next("pl.b", points.total)),
+            omega=_floats(r.next("pl.omega", m)),
             w0=_floats(r.next("pl.w0"))[0])
 
     if variant == "pilib":
         B = int(r.next("blocks")[0])
         blocks = [_read_mlp(r, f"blk{i}") for i in range(B)]
-        gm = r.next("gates.meta")
+        gm = r.next("gates.meta", 5)
         temperature = float.fromhex(gm[0])
         K, lambda0 = int(gm[1]), float.fromhex(gm[2])
         gB, gm_cols = int(gm[3]), int(gm[4])
-        log_alpha = _floats(r.next("gates.log_alpha")).reshape(gB, gm_cols)
+        log_alpha = _floats(r.next("gates.log_alpha", gB * gm_cols)
+                            ).reshape(gB, gm_cols)
         gates = PilibGates(log_alpha=log_alpha, temperature=temperature,
                            K=K, lambda0=lambda0)
         hg_tok = r.next("hard_gates")

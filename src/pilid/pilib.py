@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pilid.dataset import Dataset, CLASSIFICATION, batches
-from pilid.encoding import (
-    CharacteristicPoints,
-    build_points,
-    check_rows,
-    encode_matrix,
-)
+from pilid.encoding import CharacteristicPoints, build_points, check_rows
 from pilid.mlp_component import (
+    MlpError,
     MlpParams,
     init_gaussian,
     mlp_backward,
@@ -32,7 +28,9 @@ from pilid.pl_component import (
     PiecewiseLinearParams,
     curve_forward,
     init_least_squares,
-    linear_forward,
+    locate,
+    segment_backward,
+    segment_forward,
 )
 from pilid.trainer import (
     Adam,
@@ -150,13 +148,21 @@ def _lk_penalty_gate_grad(khat: np.ndarray, K: int, lambda0: float) -> np.ndarra
     return grad
 
 
+def _finite_rows(X: np.ndarray) -> np.ndarray:
+    # Checked before the gate multiply, where inf * 0 would warn ahead of
+    # the blocks' own check.
+    if not np.all(np.isfinite(X)):
+        raise MlpError("non-finite input")
+    return X
+
+
 def pilib_forward(model: PilibModel, x: np.ndarray, mode: str = "eval"):
     """Score = wide component + sum of gated block outputs; prediction is
     the sigmoid of the score for classification.  Evaluated like
     trainer.model_score without an encoded matrix: shape curves and
     cache-free blocks, in fixed-size row blocks."""
     single = np.ndim(x) == 1
-    X = check_rows(x, model.points)
+    X = _finite_rows(check_rows(x, model.points))
     G = model.hard_gates if model.hard_gates is not None \
         else gate_values(model.gates, mode)
 
@@ -202,7 +208,6 @@ def _pilib_weight_names(model: PilibModel, phase: int) -> list[str]:
 
 def pilib_loss_and_grads(model: PilibModel, X: np.ndarray, y: np.ndarray,
                          config: TrainConfig, phase: int,
-                         phi: np.ndarray | None = None,
                          hard_gates: np.ndarray | None = None):
     """Loss and gradients for one batch.
 
@@ -210,13 +215,12 @@ def pilib_loss_and_grads(model: PilibModel, X: np.ndarray, y: np.ndarray,
     relaxed gate sums, with gradients flowing into the gate logits.
     Phase 2: data term + lambda*Omega(all weights) under frozen hard gates.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
-    if phi is None:
-        phi = encode_matrix(X, model.points)
     train_gates = phase == 1
     G = gate_values(model.gates, "train") if train_gates else hard_gates
-    score = linear_forward(phi, model.pl, model.points)
+    U, F = locate(X, model.points)
+    score, T = segment_forward(U, F, model.pl, model.points)
     caches = []
     for i, block in enumerate(model.blocks):
         out, cache = mlp_forward(X * G[i], block)
@@ -224,15 +228,8 @@ def pilib_loss_and_grads(model: PilibModel, X: np.ndarray, y: np.ndarray,
         caches.append(cache)
     data, dscore = _data_loss_and_grad(score, y, model.task)
 
-    grads: dict[str, np.ndarray] = {}
-    pts = model.points
-    scale = model.pl.omega[pts.feature_index]
-    active = (phi > 0).astype(np.float64)
-    grads["pl.w"] = (phi.T @ dscore) * scale
-    grads["pl.b"] = (active.T @ dscore) * scale
-    unit_terms = phi * model.pl.w + active * model.pl.b
-    grads["pl.omega"] = np.add.reduceat(unit_terms, pts.offsets, axis=1).T @ dscore
-    grads["pl.w0"] = np.asarray(dscore.sum())
+    grads = {f"pl.{k}": g for k, g in segment_backward(
+        U, F, T, dscore, model.pl, model.points).items()}
 
     dG = np.zeros_like(model.gates.log_alpha) if train_gates else None
     for i, block in enumerate(model.blocks):
@@ -283,8 +280,7 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
     if B < 1 or K < 1 or lambda0 < 0:
         raise TrainingError("need B >= 1, K >= 1, lambda0 >= 0")
     points = build_points(data, gammas)
-    phi = encode_matrix(data.rows, points)
-    pl = init_least_squares(phi, data.targets, config.ridge, points)
+    pl = init_least_squares(data.rows, data.targets, config.ridge, points)
     hidden = _parse_widths(block_widths)
     blocks = []
     for i in range(B):
@@ -310,8 +306,7 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
         epoch_losses = []
         for idx in batches(data.n, config.batch_size, config.seed, epoch):
             value, grads = pilib_loss_and_grads(
-                model, data.rows[idx], data.targets[idx], config, phase=1,
-                phi=phi[idx])
+                model, data.rows[idx], data.targets[idx], config, phase=1)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss in phase 1, epoch {epoch + 1}")
             optimizer.step(grads)
@@ -335,7 +330,7 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
                            10_000 + epoch):
             value, grads = pilib_loss_and_grads(
                 model, data.rows[idx], data.targets[idx], config, phase=2,
-                phi=phi[idx], hard_gates=model.hard_gates)
+                hard_gates=model.hard_gates)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss in phase 2, epoch {epoch + 1}")
             optimizer.step(grads)

@@ -2,9 +2,11 @@
 
 Per-unit affine transform of the encoded vector, summed within each
 feature's block and scaled by a per-feature factor omega.  The learned
-weights read out directly as per-feature shape curves, and prediction
-evaluates those curves on the raw features (`curve_forward`); training
-uses the encoded form (`linear_forward`), whose backward needs it.
+weights read out directly as per-feature shape curves.  Training and
+prediction work from each row's segment per feature (`locate`) through one
+forward and one backward (`segment_forward`, `segment_backward`), never
+building the (N, gamma) encoding; `linear_forward` on that encoding is the
+reference definition.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pilid.encoding import CharacteristicPoints, check_rows
+from pilid.encoding import (
+    BLOCK_ROWS,
+    CharacteristicPoints,
+    check_rows,
+    encode_matrix,
+)
 
 
 class LinearComponentError(ValueError):
@@ -83,56 +90,90 @@ def linear_forward(phi: np.ndarray, params: PiecewiseLinearParams,
     return float(out[0]) if single else out
 
 
+def locate(rows: np.ndarray, points: CharacteristicPoints):
+    """Unit index U and fraction F of each row's segment in every
+    non-constant feature, both (N, m'), for a checked (N, m) matrix.  The
+    row's encoding is 1 on the units below U, F on U and 0 above, as
+    encode_matrix computes it: a row on inner knot k lands in unit k with
+    F = 0, and rows past either end get F = 0 or 1 in the end unit.
+    """
+    X = rows[:, points.varying]
+    U = np.empty(X.shape, dtype=np.intp)
+    for c, j in enumerate(points.varying):
+        U[:, c] = np.searchsorted(points.points[j][1:-1], X[:, c], side="right")
+    U += points.offsets[points.varying]
+    return U, np.clip((X - points.seg_start[U]) / points.seg_width[U], 0.0, 1.0)
+
+
+def segment_forward(U: np.ndarray, F: np.ndarray, params: PiecewiseLinearParams,
+                    points: CharacteristicPoints):
+    """Score w0 + T @ omega of located rows, and their per-feature terms
+    T = below[U] + F w[U] + [F > 0] b[U]; below[u] sums w + b over the
+    units of u's feature below u, whose entries are 1."""
+    _check_layout(params, points)
+    acc = np.concatenate(([0.0], np.cumsum(params.w + params.b)))
+    below = acc[:-1] - acc[points.offsets][points.feature_index]
+    T = below[U] + F * params.w[U] + (F > 0) * params.b[U]
+    return params.w0 + T @ params.omega[points.varying], T
+
+
+def segment_backward(U: np.ndarray, F: np.ndarray, T: np.ndarray,
+                     dscore: np.ndarray, params: PiecewiseLinearParams,
+                     points: CharacteristicPoints) -> dict[str, np.ndarray]:
+    """Gradients of dscore @ score for w, b, omega and w0, by name.  Unit
+    u's entry is 1 for the rows located above u in its feature, so d/dw_u
+    sums dscore over those rows plus F dscore over the rows on u, times
+    omega; d/db_u takes [F > 0] in place of F."""
+    d = dscore[:, None]
+
+    def per_unit(v):
+        return np.bincount(U.ravel(), np.ravel(v), points.total)
+
+    tail = np.cumsum(per_unit(np.broadcast_to(d, U.shape))[::-1])[::-1]
+    tail = np.concatenate((tail, [0.0]))    # tail[u] sums units u..end
+    above = tail[1:] - tail[points.offsets + points.gammas][points.feature_index]
+    scale = params.omega[points.feature_index]
+    omega = np.zeros(points.m)
+    omega[points.varying] = T.T @ dscore
+    return {"w": (above + per_unit(F * d)) * scale,
+            "b": (above + per_unit((F > 0) * d)) * scale,
+            "omega": omega, "w0": np.asarray(dscore.sum())}
+
+
 def curve_forward(rows: np.ndarray, params: PiecewiseLinearParams,
                   points: CharacteristicPoints):
-    """linear_forward(encode_matrix(rows)), read off the shape curves.
-
-    Feature j's term sum_k w_k phi_k(x) is the linear interpolant of
-    [0, cumsum(w_j)] over its knots, and sum_k b_k [phi_k > 0] is the sum
-    of b_j over the knots strictly below x.  Both hold their end values
-    outside [first knot, last knot], the clamp encode_matrix applies.
-    Constant features add nothing.  Time is O(N m log gamma) and memory
-    O(N): the (N, gamma) encoding is never built.  Accepts a single raw
-    vector or an (N, m) matrix.
-    """
-    _check_layout(params, points)
-    single = np.ndim(rows) == 1
-    X = check_rows(rows, points)
-    total = np.zeros(X.shape[0])
-    for j, p in enumerate(points.points):
-        if points.constant[j]:
-            continue
-        o, g = points.offsets[j], points.gammas[j]
-        x = X[:, j]
-        w_curve = np.concatenate(([0.0], np.cumsum(params.w[o:o + g])))
-        b_steps = np.concatenate(([0.0], np.cumsum(params.b[o:o + g])))
-        total += params.omega[j] * (
-            np.interp(x, p, w_curve) + b_steps[np.searchsorted(p[:-1], x)])
-    out = params.w0 + total
-    return float(out[0]) if single else out
+    """linear_forward(encode_matrix(rows)) from the located segments, for a
+    single raw vector or an (N, m) matrix."""
+    out = segment_forward(*locate(check_rows(rows, points), points), params,
+                          points)[0]
+    return float(out[0]) if np.ndim(rows) == 1 else out
 
 
-def init_least_squares(encoded: np.ndarray, targets: np.ndarray, ridge: float,
+def init_least_squares(rows: np.ndarray, targets: np.ndarray, ridge: float,
                        points: CharacteristicPoints) -> PiecewiseLinearParams:
-    """Ridge-regularized normal-equation fit of targets on encoded columns.
+    """Ridge-regularized normal-equation fit of targets on the encoded rows,
+    summed over encoded blocks of BLOCK_ROWS rows.
 
     Returns w from the solve, omega all ones, b zero and w0 = mean target
     (the intercept, absorbed by centering).  Wide encodings (gamma > N) are
     fine with ridge > 0.
     """
-    encoded = np.asarray(encoded, dtype=np.float64)
+    rows = check_rows(rows, points)
     targets = np.asarray(targets, dtype=np.float64)
     if ridge < 0:
         raise LinearComponentError(f"ridge must be >= 0, got {ridge}")
-    if encoded.ndim != 2 or encoded.shape[0] != len(targets):
-        raise LinearComponentError("encoded matrix and targets disagree on N")
+    if targets.shape != (rows.shape[0],):
+        raise LinearComponentError("rows and targets disagree on N")
     w0 = targets.mean()
     yc = targets - w0
-    gram = encoded.T @ encoded
-    if ridge > 0:
-        gram = gram + ridge * np.eye(gram.shape[0])
+    gram = ridge * np.eye(points.total)
+    rhs = np.zeros(points.total)
+    for lo in range(0, rows.shape[0], BLOCK_ROWS):
+        phi = encode_matrix(rows[lo:lo + BLOCK_ROWS], points)
+        gram += phi.T @ phi
+        rhs += phi.T @ yc[lo:lo + BLOCK_ROWS]
     try:
-        w = np.linalg.solve(gram, encoded.T @ yc)
+        w = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         raise LinearComponentError(
             "singular normal equations; pass a positive ridge "

@@ -1,9 +1,10 @@
 """Joint training of the hybrid model.
 
-The combined score is linear_forward(encode(x)) + mlp_forward(x); both
-components are optimized together with mini-batch Adam.  The wide
-component starts from a least-squares fit so the optimizer begins in an
-interpretable region; the network starts from small Gaussian weights.
+The combined score is segment_forward(locate(x)) + mlp_forward(x); both
+components are optimized together with mini-batch Adam, without the
+(N, gamma) encoding.  The wide component starts from a least-squares fit
+so the optimizer begins in an interpretable region; the network starts
+from small Gaussian weights.
 Prediction computes the same score from the shape curves (curve_forward)
 and the cache-free network output (mlp_predict), in fixed-size row blocks.
 """
@@ -16,10 +17,10 @@ import numpy as np
 
 from pilid.dataset import Dataset, REGRESSION, CLASSIFICATION, batches
 from pilid.encoding import (
+    BLOCK_ROWS,
     CharacteristicPoints,
     build_points,
     check_rows,
-    encode_matrix,
 )
 from pilid.mlp_component import (
     MlpParams,
@@ -32,15 +33,10 @@ from pilid.pl_component import (
     PiecewiseLinearParams,
     curve_forward,
     init_least_squares,
-    linear_forward,
+    locate,
+    segment_backward,
+    segment_forward,
 )
-
-# Rows per block when predicting; bounds inference memory independently of
-# N.  Of 1024-8192 rows, 2048 was fastest on the B=20 gated blocks, the
-# reference network and a 32-32 network (one BLAS thread): larger blocks'
-# temporaries were faulted in afresh on every block (glibc malloc hands
-# them back to the OS), smaller ones lose BLAS efficiency on wide layers.
-PREDICT_BLOCK_ROWS = 2048
 
 
 class TrainingError(RuntimeError):
@@ -183,13 +179,12 @@ def weight_names(model: PilidModel) -> list[str]:
 
 
 def predict_in_blocks(score_rows, X: np.ndarray) -> np.ndarray:
-    """Apply `score_rows` to X in consecutive blocks of PREDICT_BLOCK_ROWS
-    rows and join the results, so inference memory is bounded by the block,
-    not by N."""
+    """Apply `score_rows` to X in consecutive blocks of BLOCK_ROWS rows and
+    join the results, so inference memory is bounded by the block, not by
+    N."""
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
-        out[lo:lo + PREDICT_BLOCK_ROWS] = \
-            score_rows(X[lo:lo + PREDICT_BLOCK_ROWS])
+    for lo in range(0, X.shape[0], BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = score_rows(X[lo:lo + BLOCK_ROWS])
     return out
 
 
@@ -236,16 +231,16 @@ def loss(model: PilidModel, batch_x: np.ndarray, batch_y: np.ndarray,
 
 
 def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
-                   config: TrainConfig, phi: np.ndarray | None = None):
+                   config: TrainConfig):
     """Full joint loss and exact gradients for every trainable array."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = check_rows(X, model.points)
     y = np.asarray(y, dtype=np.float64)
-    if phi is None:
-        phi = encode_matrix(X, model.points)
     score = np.zeros(X.shape[0])
     cache = None
     if model.pl is not None:
-        score = score + linear_forward(phi, model.pl, model.points)
+        U, F = locate(X, model.points)
+        wide, T = segment_forward(U, F, model.pl, model.points)
+        score = score + wide
     if model.mlp is not None:
         out, cache = mlp_forward(X, model.mlp)
         score = score + out
@@ -253,15 +248,8 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
 
     grads: dict[str, np.ndarray] = {}
     if model.pl is not None:
-        pts = model.points
-        scale = model.pl.omega[pts.feature_index]
-        active = (phi > 0).astype(np.float64)
-        grads["pl.w"] = (phi.T @ dscore) * scale
-        grads["pl.b"] = (active.T @ dscore) * scale
-        unit_terms = phi * model.pl.w + active * model.pl.b
-        group = np.add.reduceat(unit_terms, pts.offsets, axis=1)
-        grads["pl.omega"] = group.T @ dscore
-        grads["pl.w0"] = np.asarray(dscore.sum())
+        grads = {f"pl.{k}": g for k, g in segment_backward(
+            U, F, T, dscore, model.pl, model.points).items()}
     if model.mlp is not None:
         mg = mlp_backward(model.mlp, cache, dscore)
         for l in range(len(mg.weights)):
@@ -291,20 +279,16 @@ def _parse_widths(mlp_widths) -> list[int]:
 
 def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
                mlp_only: bool = False, pl_init: str = "least_squares",
-               activation: str = "relu") -> tuple[PilidModel, np.ndarray]:
-    """Build points, encode the training rows and initialize both components.
-
-    Returns the model and the precomputed (N, gamma) encoded matrix.
-    """
+               activation: str = "relu") -> PilidModel:
+    """Build points and initialize both components."""
     points = build_points(data, gammas)
-    phi = encode_matrix(data.rows, points)
     hidden = _parse_widths(mlp_widths)
     mlp = init_gaussian([data.m] + hidden, config.sigma, [config.seed, 1])
     mlp.activation = activation
     if mlp_only:
         pl = None
     elif pl_init == "least_squares":
-        pl = init_least_squares(phi, data.targets, config.ridge, points)
+        pl = init_least_squares(data.rows, data.targets, config.ridge, points)
     elif pl_init == "gaussian":
         rng = np.random.default_rng([config.seed, 2])
         pl = PiecewiseLinearParams(
@@ -313,9 +297,8 @@ def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
             w0=np.float64(data.targets.mean()))
     else:
         raise TrainingError(f"unknown pl_init {pl_init!r}")
-    model = PilidModel(pl=pl, mlp=mlp, points=points, task=data.task,
-                       feature_names=data.feature_names)
-    return model, phi
+    return PilidModel(pl=pl, mlp=mlp, points=points, task=data.task,
+                      feature_names=data.feature_names)
 
 
 def train(data: Dataset, gammas, mlp_widths, config: TrainConfig,
@@ -327,17 +310,15 @@ def train(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     Returns the model and the per-epoch mean training loss trace.
     Deterministic for a fixed config seed.
     """
-    model, phi = init_model(data, gammas, mlp_widths, config,
-                            mlp_only=mlp_only, pl_init=pl_init,
-                            activation=activation)
+    model = init_model(data, gammas, mlp_widths, config, mlp_only=mlp_only,
+                       pl_init=pl_init, activation=activation)
     optimizer = Adam(param_arrays(model), config)
     trace: list[float] = []
     for epoch in range(config.epochs):
         epoch_losses = []
         for idx in batches(data.n, config.batch_size, config.seed, epoch):
             value, grads = loss_and_grads(model, data.rows[idx],
-                                          data.targets[idx], config,
-                                          phi=phi[idx])
+                                          data.targets[idx], config)
             if not np.isfinite(value):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch + 1}; try a smaller "

@@ -57,20 +57,20 @@ class TestCriterion01JointGradients:
                     data, _ = generate(SyntheticSpec(m=4, n=32, task=task,
                                                      seed=seed))
                     cfg = TrainConfig(seed=seed, lam=lam, reg="l2")
-                    model, phi = init_model(data, 3, [8, 8], cfg,
-                                            activation="tanh")
+                    model = init_model(data, 3, [8, 8], cfg,
+                                       activation="tanh")
                     _, grads = loss_and_grads(model, data.rows, data.targets,
-                                              cfg, phi=phi)
+                                              cfg)
                     for name, arr in param_arrays(model).items():
                         flat = arr.reshape(-1)
                         for i in range(min(flat.size, 6)):
                             orig = flat[i]
                             flat[i] = orig + h
                             up = loss_and_grads(model, data.rows,
-                                                data.targets, cfg, phi=phi)[0]
+                                                data.targets, cfg)[0]
                             flat[i] = orig - h
                             dn = loss_and_grads(model, data.rows,
-                                                data.targets, cfg, phi=phi)[0]
+                                                data.targets, cfg)[0]
                             flat[i] = orig
                             fd = (up - dn) / (2 * h)
                             g = float(grads[name].reshape(-1)[i])
@@ -157,15 +157,20 @@ class TestCriterion04LeastSquaresInit:
         rows[:, 0] = np.maximum(rows[:, 0], p0[1] + 0.1 * (p0[-1] - p0[1]))
         phi = encode_matrix(rows, points)
         y = phi @ rng.normal(0, 1, points.total) + 1.3
-        params = init_least_squares(phi, y, 1e-10, points)
+        params = init_least_squares(rows, y, 1e-10, points)
         resid = np.max(np.abs(linear_forward(phi, params, points) - y))
         assert resid < 1e-6
-        # independent Gaussian-elimination oracle
+        # independent Gaussian-elimination oracle on the encoding of random
+        # rows inside and outside the knot range
         pts6 = build_points(data, 3)
+        lo = np.array([p[0] for p in pts6.points])
+        hi = np.array([p[-1] for p in pts6.points])
         for _ in range(5):
-            A = rng.uniform(0, 1, (50, pts6.total))
+            X = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo),
+                            (50, pts6.m))
+            A = encode_matrix(X, pts6)
             t = rng.normal(0, 1, 50)
-            fit = init_least_squares(A, t, 1e-6, pts6)
+            fit = init_least_squares(X, t, 1e-6, pts6)
             ref = gauss_solve(A.T @ A + 1e-6 * np.eye(pts6.total),
                               A.T @ (t - t.mean()))
             np.testing.assert_allclose(fit.w, ref, rtol=1e-8, atol=1e-10)

@@ -64,6 +64,16 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r"line 3.*'a'"):
             load_csv(p, "y", "regression")
 
+    @pytest.mark.parametrize("cell,shown", [("nan", "nan"), ("inf", "inf"),
+                                            ("-Infinity", "-inf")])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell,
+                                                   shown):
+        p = write_csv(tmp_path, f"a,y\n1.0,2.0\n2.0,3.0\n3.0,{cell}\n")
+        with pytest.raises(DatasetError) as info:
+            load_csv(p, "y", "regression")
+        assert str(info.value) == \
+            f"{p}: non-finite value '{shown}' at line 4, column 'y'"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot open"):
             load_csv(tmp_path / "nope.csv", "y", "regression")

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,48 @@ class TestCorruption:
             load(tmp_path / "absent.plm")
 
 
+def write_payload(path, payload_lines):
+    """A model file around `payload_lines` with a valid checksum."""
+    payload = "\n".join(payload_lines) + "\n"
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    path.write_text(f"pilid-model 1\nchecksum {digest}\n{payload}",
+                    encoding="utf-8")
+
+
+class TestValuelessKeys:
+    @pytest.mark.parametrize("variant", ["pilid", "pilib"])
+    def test_every_key_without_values_is_rejected(self, variant,
+                                                   trained_model, tmp_path):
+        if variant == "pilid":
+            model = trained_model
+        else:
+            model, _ = train_pilib(toy_data(n=120, seed=4), 3, [4], 2, 3, 0.3,
+                                   TrainConfig(epochs=1, batch_size=64, seed=2))
+        path = tmp_path / "model.plm"
+        save(model, path, fingerprint="a run")
+        payload = path.read_text(encoding="utf-8").splitlines()[2:]
+        # the fingerprint is free text that load does not read; empty is legal
+        keyed = [i for i, line in enumerate(payload)
+                 if not line.startswith("fingerprint ")]
+        assert len(keyed) > 10
+        for i in keyed:
+            key = payload[i].split()[0]
+            write_payload(path, payload[:i] + [key] + payload[i + 1:])
+            with pytest.raises(PersistError,
+                               match=f"malformed model file: expected '{key}'"):
+                load(path)
+
+    def test_bare_variant_line_through_predict(self, synth_csv, tmp_path,
+                                                capsys):
+        model_path = tmp_path / "bare.plm"
+        write_payload(model_path, ["variant"])
+        assert main(["predict", "--model", str(model_path),
+                     "--data", str(synth_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pilid: error: malformed model file: expected "
+                              "'variant'") and err.count("\n") == 1
+
+
 class TestExports:
     def test_shapes_csv_layout(self, trained_model, tmp_path):
         csv_path = export_shapes(trained_model, tmp_path)
@@ -268,6 +311,45 @@ class TestCli:
         assert run_cli("predict", "--model", str(model_path),
                        "--data", str(empty)) == 1
         assert capsys.readouterr().err == f"pilid: error: {empty}: empty file\n"
+
+    @pytest.mark.parametrize("cell,shown", [("nan", "nan"), ("NaN", "nan"),
+                                            ("inf", "inf"), ("-inf", "-inf"),
+                                            ("Infinity", "inf")])
+    def test_train_non_finite_cell_exits_1(self, cell, shown, tmp_path,
+                                           capsys):
+        data = tmp_path / "bad.csv"
+        rows = [f"{0.1 * i},{1.0 - 0.1 * i},{0.5 * i}" for i in range(8)]
+        rows[1] = f"{cell},0.9,0.5"
+        data.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("train", "--data", str(data), "--target", "y",
+                           "--epochs", "1", "--mlp", "4-1",
+                           "--out", str(tmp_path / "m.plm"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"pilid: error: {data}: non-finite value '{shown}' at line 3, "
+            "column 'a'\n")
+        assert caught == []
+
+    def test_predict_non_finite_cell_exits_1(self, synth_csv, tmp_path,
+                                             capsys):
+        model_path = tmp_path / "model.plm"
+        assert run_cli("train", "--data", str(synth_csv), "--target", "y",
+                       "--epochs", "1", "--mlp", "4-1",
+                       "--out", str(model_path)) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x3,x1,x2\n0.1,0.2,0.3\n0.1,0.2,0.3\n0.4,-inf,0.5\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("predict", "--model", str(model_path),
+                           "--data", str(bad))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"pilid: error: {bad}: non-finite value '-inf' at line 4, "
+            "column 'x1'\n")
+        assert caught == []
 
     def test_bad_data_file_exits_1(self, tmp_path, capsys):
         code = run_cli("train", "--data", str(tmp_path / "none.csv"),

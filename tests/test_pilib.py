@@ -33,8 +33,7 @@ def interaction_data(n=1500, m=8, seed=0, c=1.0, pair=None):
 
 def manual_pilib(data, B=2, gamma=3, hidden=(6,), seed=0, log_alpha=None):
     points = build_points(data, gamma)
-    phi = encode_matrix(data.rows, points)
-    pl = init_least_squares(phi, data.targets, 1e-8, points)
+    pl = init_least_squares(data.rows, data.targets, 1e-8, points)
     blocks = []
     for i in range(B):
         blk = init_gaussian([data.m] + list(hidden), 0.3, [seed, 100 + i])

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from pilid.encoding import CharacteristicPoints, encode, encode_matrix
+from pilid.encoding import (
+    BLOCK_ROWS,
+    CharacteristicPoints,
+    encode,
+    encode_matrix,
+)
 from pilid.pl_component import (
     LinearComponentError,
     PiecewiseLinearParams,
@@ -108,22 +113,22 @@ class TestInitLeastSquares:
         phi = encode_matrix(rows, pts)
         true_w = rng.normal(0, 1, pts.total)
         y = phi @ true_w + 0.7
-        params = init_least_squares(phi, y, 1e-10, pts)
+        params = init_least_squares(rows, y, 1e-10, pts)
         fit = linear_forward(phi, params, pts)
         assert np.max(np.abs(fit - y)) < 1e-6
 
     def test_zero_targets_give_zero_weights(self):
         pts = grid_points([3])
-        phi = encode_matrix(np.random.default_rng(4).uniform(0, 1, (20, 1)), pts)
-        params = init_least_squares(phi, np.zeros(20), 1e-8, pts)
+        rows = np.random.default_rng(4).uniform(0, 1, (20, 1))
+        params = init_least_squares(rows, np.zeros(20), 1e-8, pts)
         assert float(params.w0) == 0.0
         assert np.max(np.abs(params.w)) < 1e-6
 
     def test_returned_structure(self):
         pts = grid_points([2, 3])
-        phi = encode_matrix(np.random.default_rng(5).uniform(0, 1, (30, 2)), pts)
+        rows = np.random.default_rng(5).uniform(0, 1, (30, 2))
         y = np.random.default_rng(6).normal(0, 1, 30)
-        params = init_least_squares(phi, y, 1e-8, pts)
+        params = init_least_squares(rows, y, 1e-8, pts)
         assert np.all(params.b == 0)
         assert np.all(params.omega == 1)
         assert float(params.w0) == pytest.approx(y.mean())
@@ -133,31 +138,46 @@ class TestInitLeastSquares:
         rng = np.random.default_rng(7)
         pts = grid_points([3, 3])
         for trial in range(5):
-            phi = rng.uniform(0, 1, (50, 6))
+            rows = rng.uniform(-0.2, 1.2, (50, 2))   # some outside [0, 1]
+            phi = encode_matrix(rows, pts)
             y = rng.normal(0, 1, 50)
             ridge = 1e-6
-            params = init_least_squares(phi, y, ridge, pts)
+            params = init_least_squares(rows, y, ridge, pts)
             A = phi.T @ phi + ridge * np.eye(6)
             ref = gauss_solve(A, phi.T @ (y - y.mean()))
             np.testing.assert_allclose(params.w, ref, rtol=1e-8, atol=1e-10)
 
+    def test_blocks_sum_to_the_whole_encoding(self):
+        # more rows than one block: the blocked normal equations must equal
+        # those of the whole encoded matrix
+        pts = grid_points([4, 6])
+        rng = np.random.default_rng(9)
+        rows = rng.uniform(-0.2, 1.2, (2 * BLOCK_ROWS + 100, 2))
+        y = rng.normal(0, 1, len(rows))
+        phi = encode_matrix(rows, pts)
+        ref = np.linalg.solve(phi.T @ phi + 1e-6 * np.eye(pts.total),
+                              phi.T @ (y - y.mean()))
+        params = init_least_squares(rows, y, 1e-6, pts)
+        np.testing.assert_allclose(params.w, ref, rtol=1e-8, atol=1e-10)
+
     def test_singular_without_ridge_raises_helpful_error(self):
         pts = grid_points([4])
-        phi = np.zeros((10, 4))
-        phi[:, 0] = 1.0   # rank-deficient gram matrix
+        rows = np.full((10, 1), 0.25)   # every row encodes to [1, 0, 0, 0]
+        np.testing.assert_array_equal(encode_matrix(rows, pts),
+                                      np.tile([1.0, 0.0, 0.0, 0.0], (10, 1)))
         with pytest.raises(LinearComponentError, match="ridge"):
-            init_least_squares(phi, np.arange(10.0), 0.0, pts)
+            init_least_squares(rows, np.arange(10.0), 0.0, pts)
 
     def test_negative_ridge_rejected(self):
         pts = grid_points([2])
         with pytest.raises(LinearComponentError):
-            init_least_squares(np.zeros((5, 2)), np.zeros(5), -1.0, pts)
+            init_least_squares(np.zeros((5, 1)), np.zeros(5), -1.0, pts)
 
     def test_wide_encoding_ok_with_ridge(self):
         pts = grid_points([10])
         rng = np.random.default_rng(8)
-        phi = encode_matrix(rng.uniform(0, 1, (4, 1)), pts)  # gamma > N
-        params = init_least_squares(phi, rng.normal(0, 1, 4), 1e-8, pts)
+        rows = rng.uniform(0, 1, (4, 1))  # gamma > N
+        params = init_least_squares(rows, rng.normal(0, 1, 4), 1e-8, pts)
         assert np.all(np.isfinite(params.w))
 
 

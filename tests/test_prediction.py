@@ -1,6 +1,6 @@
 """The prediction path: shape curves for the wide component, the cache-free
 network output, and fixed-size row blocks, checked against the encoded
-(training) path."""
+reference path."""
 
 import dataclasses
 import warnings
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pilid.cli import main
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.encoding import (
+    BLOCK_ROWS,
     CharacteristicPoints,
     EncodingError,
     build_points,
@@ -20,7 +21,12 @@ from pilid.encoding import (
 )
 from pilid.mlp_component import MlpError, init_gaussian, mlp_forward, mlp_predict
 from pilid.persist import save
-from pilid.pilib import PilibGates, PilibModel, pilib_forward
+from pilid.pilib import (
+    PilibGates,
+    PilibModel,
+    pilib_forward,
+    pilib_loss_and_grads,
+)
 from pilid.pl_component import (
     PiecewiseLinearParams,
     curve_forward,
@@ -29,7 +35,6 @@ from pilid.pl_component import (
     linear_forward,
 )
 from pilid.trainer import (
-    PREDICT_BLOCK_ROWS,
     TrainConfig,
     model_forward,
     train,
@@ -175,9 +180,9 @@ def wide_magnitude(model):
 
 
 def block_rows(model, seed=1):
-    """PREDICT_BLOCK_ROWS + 1 rows: one full block and one single row."""
+    """BLOCK_ROWS + 1 rows: one full block and one single row."""
     rng = np.random.default_rng(seed)
-    return random_rows(rng, model.points, PREDICT_BLOCK_ROWS + 1)
+    return random_rows(rng, model.points, BLOCK_ROWS + 1)
 
 
 class TestModelForward:
@@ -191,7 +196,7 @@ class TestModelForward:
         ref = linear_forward(encode_matrix(X, model.points), model.pl,
                              model.points) + mlp_forward(X, model.mlp)[0]
         score, pred = model_forward(model, X)
-        assert score.shape == (PREDICT_BLOCK_ROWS + 1,)
+        assert score.shape == (BLOCK_ROWS + 1,)
         np.testing.assert_array_equal(score, pred)
         tol = 1e-12 * (wide_magnitude(model) + np.max(np.abs(ref)))
         assert np.max(np.abs(score - ref)) <= tol
@@ -247,8 +252,7 @@ def random_pilib(data, B=3, seed=0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # the constant feature warns
         points = build_points(data, 5)
-    pl = init_least_squares(encode_matrix(data.rows, points), data.targets,
-                            1e-8, points)
+    pl = init_least_squares(data.rows, data.targets, 1e-8, points)
     rng = np.random.default_rng(seed)
     pl.b[:] = rng.normal(0, 0.2, points.total)
     pl.omega[:] = rng.uniform(0.5, 1.5, points.m)
@@ -282,6 +286,25 @@ class TestPilibForward:
         with pytest.raises(MlpError, match="non-finite input"):
             pilib_forward(model, X)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_closed_gate_column_warns_nothing(self, value):
+        # the check runs before the gate multiply, where inf * 0 would warn
+        data = layout_data()
+        model = random_pilib(data)
+        model.hard_gates[:, 0] = 0.0
+        X = data.rows[:4].copy()
+        X[2, 0] = value
+        cfg = TrainConfig(lam=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MlpError, match="non-finite input"):
+                pilib_forward(model, X)
+            for phase in (1, 2):
+                with pytest.raises(MlpError, match="non-finite input"):
+                    pilib_loss_and_grads(model, X, data.targets[:4], cfg,
+                                         phase=phase,
+                                         hard_gates=model.hard_gates)
+
 
 class TestPredictCli:
     @pytest.fixture()
@@ -309,4 +332,5 @@ class TestPredictCli:
         assert main(["predict", "--model", str(model_path),
                      "--data", str(csv_path)]) == 1
         err = capsys.readouterr().err
-        assert err == "pilid: error: non-finite input\n"
+        assert err == (f"pilid: error: {csv_path}: non-finite value 'nan' at "
+                       "line 3, column 'num'\n")

@@ -163,10 +163,11 @@ class TestJointGradients:
     def test_score_is_sum_of_components(self):
         data = toy_data(n=50)
         cfg = TrainConfig(seed=3)
-        model, phi = init_model(data, 4, [8], cfg)
+        model = init_model(data, 4, [8], cfg)
         from pilid.mlp_component import mlp_forward
         score, _ = model_forward(model, data.rows)
-        wide = linear_forward(phi, model.pl, model.points)
+        wide = linear_forward(encode_matrix(data.rows, model.points), model.pl,
+                              model.points)
         deep, _ = mlp_forward(data.rows, model.mlp)
         np.testing.assert_allclose(score, wide + deep, atol=1e-12)
 
@@ -174,8 +175,8 @@ class TestJointGradients:
     def test_finite_difference_joint(self, task):
         data = toy_data(n=30, task=task)
         cfg = TrainConfig(seed=1, lam=0.01, reg="l2")
-        model, phi = init_model(data, 3, [5], cfg, activation="tanh")
-        _, grads = loss_and_grads(model, data.rows, data.targets, cfg, phi=phi)
+        model = init_model(data, 3, [5], cfg, activation="tanh")
+        _, grads = loss_and_grads(model, data.rows, data.targets, cfg)
         params = param_arrays(model)
         h = 1e-6
         for name, arr in params.items():
@@ -183,11 +184,9 @@ class TestJointGradients:
             for i in range(min(flat.size, 8)):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_and_grads(model, data.rows, data.targets, cfg,
-                                    phi=phi)[0]
+                up = loss_and_grads(model, data.rows, data.targets, cfg)[0]
                 flat[i] = orig - h
-                dn = loss_and_grads(model, data.rows, data.targets, cfg,
-                                    phi=phi)[0]
+                dn = loss_and_grads(model, data.rows, data.targets, cfg)[0]
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 g = grads[name].reshape(-1)[i]
@@ -225,9 +224,10 @@ class TestTrain:
         # pure least-squares fit
         data = toy_data(n=100, seed=4)
         cfg = TrainConfig(sigma=1e-9, seed=0)
-        model, phi = init_model(data, 4, [16], cfg)
+        model = init_model(data, 4, [16], cfg)
         score, _ = model_forward(model, data.rows)
-        wide = linear_forward(phi, model.pl, model.points)
+        wide = linear_forward(encode_matrix(data.rows, model.points), model.pl,
+                              model.points)
         assert np.max(np.abs(score - wide)) < 1e-6
 
     def test_strong_l2_shrinks_weights(self):
@@ -250,7 +250,7 @@ class TestTrain:
     def test_gaussian_pl_init(self):
         data = toy_data(n=100, seed=6)
         cfg = TrainConfig(seed=5)
-        model, _ = init_model(data, 3, [8], cfg, pl_init="gaussian")
+        model = init_model(data, 3, [8], cfg, pl_init="gaussian")
         assert np.all(model.pl.b == 0)
         assert float(model.pl.w0) == pytest.approx(data.targets.mean())
         assert 0 < model.pl.w.std() < 3 * cfg.sigma
@@ -263,7 +263,7 @@ class TestTrain:
     def test_trailing_output_width_is_implicit(self):
         data = toy_data(n=60)
         cfg = TrainConfig(epochs=1)
-        m1, _ = init_model(data, 3, [8, 1], cfg)
+        m1 = init_model(data, 3, [8, 1], cfg)
         assert m1.mlp.head_w.shape == (8,)
 
     def test_classification_predictions_are_probabilities(self):
