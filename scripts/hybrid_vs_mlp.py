@@ -24,10 +24,9 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    widths = [int(w) for w in args.mlp.split("-") if w]
     base = ExperimentConfig(
         synth=SyntheticSpec(m=args.m, n=args.n, seed=0),
-        gammas=args.gammas, mlp_widths=widths,
+        gammas=args.gammas, mlp_widths=args.mlp,
         train=TrainConfig(epochs=args.epochs, batch_size=256),
         base_seed=args.seed)
 

@@ -1,9 +1,11 @@
 """Hybrid piecewise-linear + deep tabular models (PiLiD / PiLiB).
 
-A PiLiD model adds a piecewise-linear "wide" component, whose learned
-weights read out directly as per-feature shape curves, to a small MLP
-that soaks up feature interactions.  The PiLiB variant swaps the MLP
-for several gated blocks whose gates reveal which features interact.
+One model class, `PilidModel`, adds a piecewise-linear "wide" component,
+whose learned weights read out directly as per-feature shape curves, to
+gated blocks of small networks that soak up feature interactions.  PiLiD
+is its one-block case with an all-ones gate, a plain jointly trained MLP;
+the PiLiB variant trains several blocks whose gates reveal which
+features interact.
 """
 
 from pilid.dataset import Dataset, FeatureSpec, load_csv, split, batches
@@ -23,8 +25,8 @@ from pilid.mlp_component import (
     mlp_backward,
     init_gaussian,
 )
-from pilid.trainer import PilidModel, TrainConfig, model_forward, train
-from pilid.pilib import PilibModel, PilibGates, train_pilib
+from pilid.trainer import PilibGates, PilidModel, TrainConfig, model_forward, train
+from pilid.pilib import train_pilib
 from pilid.synth import SyntheticSpec, generate, shape_recovery_score
 from pilid.metrics_eval import mse, auc, run_trials, TrialReport, ExperimentConfig
 from pilid.persist import save, load, export_shapes
@@ -37,7 +39,7 @@ __all__ = [
     "MlpParams", "mlp_forward", "mlp_predict", "mlp_backward",
     "init_gaussian",
     "PilidModel", "TrainConfig", "model_forward", "train",
-    "PilibModel", "PilibGates", "train_pilib",
+    "PilibGates", "train_pilib",
     "SyntheticSpec", "generate", "shape_recovery_score",
     "mse", "auc", "run_trials", "TrialReport", "ExperimentConfig",
     "save", "load", "export_shapes",

@@ -16,16 +16,6 @@ class CliError(RuntimeError):
     pass
 
 
-def _parse_widths(text: str) -> list[int]:
-    try:
-        widths = [int(t) for t in text.split("-") if t]
-    except ValueError:
-        raise CliError(f"bad architecture string {text!r}") from None
-    if not widths:
-        raise CliError(f"bad architecture string {text!r}")
-    return widths
-
-
 def _task(flag: str) -> str:
     return dataset.REGRESSION if flag == "reg" else dataset.CLASSIFICATION
 
@@ -74,8 +64,7 @@ def _train_config(args) -> trainer.TrainConfig:
 def _cmd_train(args) -> int:
     train_set = _load_training_data(args)
     config = _train_config(args)
-    model, trace = trainer.train(train_set, args.gammas,
-                                 _parse_widths(args.mlp), config,
+    model, trace = trainer.train(train_set, args.gammas, args.mlp, config,
                                  mlp_only=args.mlp_only,
                                  pl_init=args.pl_init,
                                  activation=args.activation)
@@ -89,10 +78,9 @@ def _cmd_train(args) -> int:
 def _cmd_train_pilib(args) -> int:
     train_set = _load_training_data(args)
     config = _train_config(args)
-    model, diag = pilib.train_pilib(train_set, args.gammas,
-                                    _parse_widths(args.mlp), args.blocks,
-                                    args.max_order, args.lambda0, config,
-                                    activation=args.activation)
+    model, diag = pilib.train_pilib(train_set, args.gammas, args.mlp,
+                                    args.blocks, args.max_order, args.lambda0,
+                                    config, activation=args.activation)
     persist.save(model, args.out, fingerprint=repr(config))
     if args.trace_out:
         persist.write_loss_trace(diag["phase1_trace"] + diag["phase2_trace"],
@@ -121,6 +109,7 @@ def _read_feature_matrix(path, model) -> np.ndarray:
         if first is None:
             raise CliError(f"{path}: empty file")
         header = [h.strip() for h in first]
+        dataset.check_header(header, path)
         cols = []
         for name in model.feature_names:
             if name not in header:
@@ -140,16 +129,10 @@ def _read_feature_matrix(path, model) -> np.ndarray:
     return mat
 
 
-def _predict(model, rows: np.ndarray):
-    if isinstance(model, pilib.PilibModel):
-        return pilib.pilib_forward(model, rows)
-    return trainer.model_forward(model, rows)
-
-
 def _cmd_predict(args) -> int:
     model = persist.load(args.model)
     rows = _read_feature_matrix(args.data, model)
-    _, preds = _predict(model, rows)
+    _, preds = trainer.model_forward(model, rows)
     lines = ["prediction"] + [repr(float(p)) for p in preds]
     out = Path(args.out) if args.out else None
     text = "\n".join(lines) + "\n"
@@ -164,7 +147,7 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model = persist.load(args.model)
     data = dataset.load_csv(args.data, args.target, model.task)
-    scores, preds = _predict(model, data.rows)
+    scores, preds = trainer.model_forward(model, data.rows)
     if model.task == dataset.CLASSIFICATION:
         value = metrics_eval.auc(scores, data.targets)
         print(f"auc {value:.6f}")
@@ -226,7 +209,7 @@ def _experiment_from_config(cfg: dict[str, str]) -> metrics_eval.ExperimentConfi
         ridge=float(cfg.get("ridge", 1e-8)))
     return metrics_eval.ExperimentConfig(
         synth=sspec, gammas=int(cfg.get("gammas", 5)),
-        mlp_widths=_parse_widths(cfg.get("mlp", "32-32-1")),
+        mlp_widths=cfg.get("mlp", "32-32-1"),
         model=cfg.get("model", "pilid"),
         pl_init=cfg.get("pl_init", "least_squares"), train=tcfg,
         train_fraction=float(cfg.get("split", 0.8)),
@@ -254,7 +237,7 @@ def _cmd_export_shapes(args) -> int:
 
 def _cmd_export_interactions(args) -> int:
     model = persist.load(args.model)
-    if not isinstance(model, pilib.PilibModel):
+    if model.gates is None:
         raise CliError("export-interactions needs a gated-block model")
     try:
         a, b = (int(t) for t in args.features.split(","))

@@ -113,6 +113,18 @@ def infer_spec(name: str, column: np.ndarray,
                        alpha=float(uniq[0]), beta=float(uniq[-1]))
 
 
+def check_header(names: list[str], path) -> None:
+    """Raise DatasetError naming the first empty or repeated column name of
+    a CSV header (names already stripped)."""
+    seen = set()
+    for k, name in enumerate(names, start=1):
+        if not name:
+            raise DatasetError(f"{path}: column {k} has an empty name")
+        if name in seen:
+            raise DatasetError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
+
+
 def reject_non_finite(mat: np.ndarray, path, columns: list[str]) -> None:
     """Raise DatasetError naming the first NaN or infinite cell of a parsed
     CSV matrix whose first row is line 2 and whose columns are `columns`."""
@@ -146,6 +158,7 @@ def load_csv(path, target_column: str, task: str,
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        check_header(header, path)
         if target_column not in header:
             raise DatasetError(f"{path}: target column {target_column!r} not found")
         t_idx = header.index(target_column)

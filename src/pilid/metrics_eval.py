@@ -61,7 +61,7 @@ class ExperimentConfig:
 
     synth: SyntheticSpec
     gammas: int | list = 5
-    mlp_widths: list[int] = field(default_factory=lambda: [32, 32])
+    mlp_widths: list[int] | str = field(default_factory=lambda: [32, 32])
     model: str = "pilid"            # "pilid" | "mlp" | "pilib"
     pl_init: str = "least_squares"
     train: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
@@ -104,14 +104,13 @@ def _run_one_trial(config: ExperimentConfig, seed: int) -> float:
         model, _ = pilib.train_pilib(train_set, config.gammas,
                                      config.mlp_widths, config.blocks,
                                      config.max_order, config.lambda0, tcfg)
-        scores, preds = pilib.pilib_forward(model, test_set.rows)
     elif config.model in ("pilid", "mlp"):
         model, _ = trainer.train(train_set, config.gammas, config.mlp_widths,
                                  tcfg, mlp_only=config.model == "mlp",
                                  pl_init=config.pl_init)
-        scores, preds = trainer.model_forward(model, test_set.rows)
     else:
         raise MetricsError(f"unknown model kind {config.model!r}")
+    scores, preds = trainer.model_forward(model, test_set.rows)
     if test_set.task == CLASSIFICATION:
         return auc(scores, test_set.targets)
     return mse(preds, test_set.targets)

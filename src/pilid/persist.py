@@ -2,7 +2,10 @@
 
 Model files are line-oriented UTF-8 text with every real stored as a
 hexadecimal float, a format version and a whole-payload checksum, so a
-load reproduces the saved parameters bit for bit.
+load reproduces the saved parameters bit for bit.  Format 1 has two
+layouts: `variant pilid` stores a model without gate logits as its one
+network (`mlp.`), `variant pilib` stores the blocks, gate logits and hard
+gates; both load into the one model class.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from pilid.dataset import FeatureSpec
 from pilid.encoding import CharacteristicPoints
 from pilid.mlp_component import MlpParams
 from pilid.pl_component import PiecewiseLinearParams, extract_shapes
-from pilid.pilib import PilibGates, PilibModel
-from pilid.trainer import PilidModel
+from pilid.trainer import PilibGates, PilidModel
 
 FORMAT_VERSION = 1
 MAGIC = "pilid-model"
@@ -45,9 +47,13 @@ def _emit_mlp(lines: list[str], prefix: str, mlp: MlpParams):
     lines.append(f"{prefix}.head_b {_hex(float(mlp.head_b))}")
 
 
-def _payload(model, fingerprint: str) -> list[str]:
-    is_pilib = isinstance(model, PilibModel)
-    lines = [f"variant {'pilib' if is_pilib else 'pilid'}",
+def _payload(model: PilidModel, fingerprint: str) -> list[str]:
+    gated = model.gates is not None
+    if not gated and (len(model.blocks) > 1
+                      or not np.all(model.hard_gates == 1.0)):
+        raise PersistError("a model without gate logits must be one block "
+                           "with every gate open")
+    lines = [f"variant {'pilib' if gated else 'pilid'}",
              f"task {model.task}",
              f"features {model.m}"]
     for j, name in enumerate(model.feature_names or
@@ -65,7 +71,7 @@ def _payload(model, fingerprint: str) -> list[str]:
         lines.append(f"pl.b {_vec(pl.b)}")
         lines.append(f"pl.omega {_vec(pl.omega)}")
         lines.append(f"pl.w0 {_hex(float(pl.w0))}")
-    if is_pilib:
+    if gated:
         lines.append(f"blocks {len(model.blocks)}")
         for i, blk in enumerate(model.blocks):
             _emit_mlp(lines, f"blk{i}", blk)
@@ -77,12 +83,11 @@ def _payload(model, fingerprint: str) -> list[str]:
                      else f"hard_gates {_vec(model.hard_gates)}")
         lines.append("train_means none" if model.train_means is None
                      else f"train_means {_vec(model.train_means)}")
+    elif model.mlp is None:
+        lines.append("mlp none")
     else:
-        if model.mlp is None:
-            lines.append("mlp none")
-        else:
-            lines.append("mlp present")
-            _emit_mlp(lines, "mlp", model.mlp)
+        lines.append("mlp present")
+        _emit_mlp(lines, "mlp", model.mlp)
     lines.append(f"fingerprint {urllib.parse.quote(fingerprint, safe='')}")
     return lines
 
@@ -96,25 +101,37 @@ def save(model, path, fingerprint: str = "") -> None:
         encoding="utf-8")
 
 
+def _counted(key: str, values: list[str], count: int,
+             exact: bool = True) -> list[str]:
+    """`values`, which must number exactly `count` (at least, unless
+    `exact`)."""
+    if len(values) < count or (exact and len(values) != count):
+        raise PersistError(f"malformed model file: expected {key!r} with "
+                           f"{count} value(s), got {len(values)}")
+    return values
+
+
 class _Reader:
     def __init__(self, lines: list[str]):
         self.lines = lines
         self.pos = 0
 
-    def next(self, key: str, count: int = 1) -> list[str]:
-        """Values of the next line, which must be `key` with at least
-        `count` values."""
+    def next(self, key: str, count: int = 1, exact: bool = True) -> list[str]:
+        """Values of the next line, which must be `key` with exactly
+        `count` values (at least, unless `exact`)."""
         if self.pos >= len(self.lines):
             raise PersistError(f"truncated model file: expected {key!r}")
         parts = self.lines[self.pos].split()
         if not parts or parts[0] != key:
             raise PersistError(f"malformed model file: expected {key!r}, "
                                f"got {self.lines[self.pos][:40]!r}")
-        if len(parts) - 1 < count:
-            raise PersistError(f"malformed model file: expected {key!r} with "
-                               f"{count} value(s), got {len(parts) - 1}")
         self.pos += 1
-        return parts[1:]
+        return _counted(key, parts[1:], count, exact)
+
+    def optional(self, key: str, count: int) -> np.ndarray | None:
+        """A line that holds `none` or exactly `count` floats."""
+        tok = self.next(key, 1, exact=False)
+        return None if tok == ["none"] else _floats(_counted(key, tok, count))
 
 
 def _floats(tokens: list[str]) -> np.ndarray:
@@ -127,19 +144,22 @@ def _floats(tokens: list[str]) -> np.ndarray:
 def _read_mlp(r: _Reader, prefix: str) -> MlpParams:
     activation, n_layers = r.next(f"{prefix}.meta", 2)
     weights, biases = [], []
+    rows = 0
     for l in range(int(n_layers)):
-        tok = r.next(f"{prefix}.W{l}", 3)
+        key = f"{prefix}.W{l}"
+        tok = r.next(key, 2, exact=False)
         rows, cols = int(tok[0]), int(tok[1])
-        weights.append(_floats(tok[2:]).reshape(rows, cols))
+        weights.append(_floats(_counted(key, tok[2:], rows * cols)
+                               ).reshape(rows, cols))
         biases.append(_floats(r.next(f"{prefix}.b{l}", rows)))
-    head_w = _floats(r.next(f"{prefix}.head_w"))
+    head_w = _floats(r.next(f"{prefix}.head_w", rows))
     head_b = _floats(r.next(f"{prefix}.head_b"))[0]
     return MlpParams(weights=weights, biases=biases, head_w=head_w,
                      head_b=head_b, activation=activation)
 
 
-def load(path):
-    """Load a model file; returns a PilidModel or PilibModel."""
+def load(path) -> PilidModel:
+    """Load a model file of either layout into the one model class."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -174,7 +194,7 @@ def load(path):
         names.append(urllib.parse.unquote(tok[1]))
     pts, const = [], []
     for j in range(m):
-        tok = r.next("points", 3)
+        tok = r.next("points", 3, exact=False)
         const.append(tok[1] == "const")
         pts.append(_floats(tok[2:]))
     points = CharacteristicPoints(points=pts, constant=const)
@@ -189,30 +209,32 @@ def load(path):
             omega=_floats(r.next("pl.omega", m)),
             w0=_floats(r.next("pl.w0"))[0])
 
-    if variant == "pilib":
-        B = int(r.next("blocks")[0])
-        blocks = [_read_mlp(r, f"blk{i}") for i in range(B)]
-        gm = r.next("gates.meta", 5)
-        temperature = float.fromhex(gm[0])
-        K, lambda0 = int(gm[1]), float.fromhex(gm[2])
-        gB, gm_cols = int(gm[3]), int(gm[4])
-        log_alpha = _floats(r.next("gates.log_alpha", gB * gm_cols)
-                            ).reshape(gB, gm_cols)
-        gates = PilibGates(log_alpha=log_alpha, temperature=temperature,
-                           K=K, lambda0=lambda0)
-        hg_tok = r.next("hard_gates")
-        hard = None if hg_tok[0] == "none" else _floats(hg_tok).reshape(gB, gm_cols)
-        tm_tok = r.next("train_means")
-        means = None if tm_tok[0] == "none" else _floats(tm_tok)
-        return PilibModel(pl=pl, blocks=blocks, gates=gates, points=points,
-                          task=task, feature_names=names, train_means=means,
-                          hard_gates=hard)
-    if variant != "pilid":
+    if variant == "pilid":
+        blocks = [] if r.next("mlp")[0] == "none" else [_read_mlp(r, "mlp")]
+        return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
+                          feature_names=names)
+    if variant != "pilib":
         raise PersistError(f"{path}: unknown variant {variant!r}")
-    mlp_tok = r.next("mlp")
-    mlp = None if mlp_tok[0] == "none" else _read_mlp(r, "mlp")
-    return PilidModel(pl=pl, mlp=mlp, points=points, task=task,
-                      feature_names=names)
+    B = int(r.next("blocks")[0])
+    blocks = [_read_mlp(r, f"blk{i}") for i in range(B)]
+    gm = r.next("gates.meta", 5)
+    temperature = float.fromhex(gm[0])
+    K, lambda0 = int(gm[1]), float.fromhex(gm[2])
+    gB, gm_cols = int(gm[3]), int(gm[4])
+    if (gB, gm_cols) != (B, m):
+        raise PersistError(f"malformed model file: 'gates.meta' gives "
+                           f"{gB} x {gm_cols} gates for {B} blocks and "
+                           f"{m} features")
+    log_alpha = _floats(r.next("gates.log_alpha", gB * gm_cols)
+                        ).reshape(gB, gm_cols)
+    gates = PilibGates(log_alpha=log_alpha, temperature=temperature,
+                       K=K, lambda0=lambda0)
+    hard = r.optional("hard_gates", gB * gm_cols)
+    return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
+                      feature_names=names, gates=gates,
+                      hard_gates=None if hard is None
+                      else hard.reshape(gB, gm_cols),
+                      train_means=r.optional("train_means", m))
 
 
 def write_loss_trace(trace: list[float], path) -> None:

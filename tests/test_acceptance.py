@@ -21,12 +21,13 @@ from pilid.pl_component import (
     init_least_squares,
     linear_forward,
 )
-from pilid.pilib import lk_penalty, pilib_forward, train_pilib
+from pilid.pilib import train_pilib
 from pilid.persist import load, save
 from pilid.synth import SyntheticSpec, generate, shape_recovery_score
 from pilid.trainer import (
     TrainConfig,
     init_model,
+    lk_penalty,
     loss_and_grads,
     model_forward,
     param_arrays,
@@ -127,7 +128,7 @@ class TestCriterion03SingleIntervalLinearity:
         data, _ = generate(SyntheticSpec(m=3, n=500, seed=3))
         model, _ = train(data, 1, [4], TrainConfig(epochs=2, batch_size=128,
                                                    seed=2))
-        model.mlp = None  # isolate the wide component
+        model.blocks = []  # isolate the wide component
         rng = np.random.default_rng(5)
         worst = 0.0
         for j in range(3):
@@ -272,9 +273,9 @@ class TestCriterion08GatedBlocks:
         if dead:
             model.pl.omega[:] = 0.0
             x = data.rows[3].copy()
-            base, _ = pilib_forward(model, x)
+            base, _ = model_forward(model, x)
             x[dead[0]] += 7.0
-            bumped, _ = pilib_forward(model, x)
+            bumped, _ = model_forward(model, x)
             assert bumped == pytest.approx(base, abs=1e-12)
             masked_checked = True
         elapsed = timed(started, 120.0, 8)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -13,7 +14,7 @@ from pilid.persist import (
     save,
     write_loss_trace,
 )
-from pilid.pilib import pilib_forward, train_pilib
+from pilid.pilib import train_pilib
 from pilid.trainer import TrainConfig, model_forward, train
 
 
@@ -73,8 +74,8 @@ class TestRoundTrip:
         save(model, path)
         loaded = load(path)
         X = np.random.default_rng(10).uniform(0, 1, (100, 4))
-        s0, _ = pilib_forward(model, X)
-        s1, _ = pilib_forward(loaded, X)
+        s0, _ = model_forward(model, X)
+        s1, _ = model_forward(loaded, X)
         np.testing.assert_array_equal(s0, s1)
         np.testing.assert_array_equal(model.hard_gates, loaded.hard_gates)
         assert loaded.gates.K == model.gates.K
@@ -180,6 +181,35 @@ class TestValuelessKeys:
                                match=f"malformed model file: expected '{key}'"):
                 load(path)
 
+    @pytest.mark.parametrize("variant", ["pilid", "pilib"])
+    @pytest.mark.parametrize("edit", ["one value removed", "one value added"])
+    def test_every_key_with_a_wrong_value_count_is_rejected(
+            self, variant, edit, trained_model, tmp_path):
+        if variant == "pilid":
+            model = trained_model
+        else:
+            model, _ = train_pilib(toy_data(n=120, seed=4), 3, [4], 2, 3, 0.3,
+                                   TrainConfig(epochs=1, batch_size=64, seed=2))
+        path = tmp_path / "model.plm"
+        save(model, path, fingerprint="a run")
+        payload = path.read_text(encoding="utf-8").splitlines()[2:]
+        keyed = [i for i, line in enumerate(payload)
+                 if not line.startswith("fingerprint ")]
+        for i in keyed:
+            tokens = payload[i].split()
+            key = tokens[0]
+            # an added value above every knot keeps a points line valid
+            tokens = tokens[:-1] if edit == "one value removed" \
+                else tokens + [(2.0 ** 30).hex()]
+            write_payload(path, payload[:i] + [" ".join(tokens)]
+                          + payload[i + 1:])
+            # a knot count is not stated: the wide weights after it break
+            named = "pl.w" if key == "points" else key
+            with pytest.raises(PersistError,
+                               match=f"malformed model file: expected "
+                                     f"'{named}' with"):
+                load(path)
+
     def test_bare_variant_line_through_predict(self, synth_csv, tmp_path,
                                                 capsys):
         model_path = tmp_path / "bare.plm"
@@ -189,6 +219,47 @@ class TestValuelessKeys:
         err = capsys.readouterr().err
         assert err.startswith("pilid: error: malformed model file: expected "
                               "'variant'") and err.count("\n") == 1
+
+
+class TestOneModelLayouts:
+    def test_model_without_gate_logits_loads_as_one_open_block(
+            self, trained_model, tmp_path):
+        path = tmp_path / "model.plm"
+        save(trained_model, path)
+        assert path.read_text().splitlines()[2] == "variant pilid"
+        loaded = load(path)
+        assert loaded.gates is None and len(loaded.blocks) == 1
+        np.testing.assert_array_equal(loaded.hard_gates, np.ones((1, 3)))
+
+    def test_gate_shape_must_match_blocks_and_features(self, tmp_path):
+        model, _ = train_pilib(toy_data(n=120, seed=4), 3, [4], 2, 3, 0.3,
+                               TrainConfig(epochs=1, batch_size=64, seed=2))
+        path = tmp_path / "model.plm"
+        save(model, path)
+        payload = path.read_text(encoding="utf-8").splitlines()[2:]
+        i = next(i for i, line in enumerate(payload)
+                 if line.startswith("gates.meta "))
+        for b, m in (("1", "3"), ("3", "3"), ("2", "2")):
+            tokens = payload[i].split()
+            tokens[4:6] = [b, m]
+            write_payload(path, payload[:i] + [" ".join(tokens)]
+                          + payload[i + 1:])
+            with pytest.raises(PersistError, match=f"'gates.meta' gives "
+                                                   f"{b} x {m} gates for 2 "
+                                                   f"blocks and 3 features"):
+                load(path)
+
+    def test_several_blocks_without_gate_logits_are_not_written(
+            self, trained_model, tmp_path):
+        two = dataclasses.replace(trained_model,
+                                  blocks=[trained_model.mlp] * 2,
+                                  hard_gates=np.ones((2, 3)))
+        with pytest.raises(PersistError, match="one block"):
+            save(two, tmp_path / "model.plm")
+        closed = dataclasses.replace(trained_model,
+                                     hard_gates=np.zeros((1, 3)))
+        with pytest.raises(PersistError, match="every gate open"):
+            save(closed, tmp_path / "model.plm")
 
 
 class TestExports:
@@ -311,6 +382,40 @@ class TestCli:
         assert run_cli("predict", "--model", str(model_path),
                        "--data", str(empty)) == 1
         assert capsys.readouterr().err == f"pilid: error: {empty}: empty file\n"
+
+    @pytest.mark.parametrize("header,message", [
+        ("a,a,y", "duplicate column name 'a'"),
+        ("a, a ,y", "duplicate column name 'a'"),
+        (",b,y", "column 1 has an empty name"),
+        ("a, ,y", "column 2 has an empty name"),
+    ])
+    def test_train_bad_header_exits_1(self, header, message, tmp_path,
+                                      capsys):
+        data = tmp_path / "bad.csv"
+        rows = [f"{0.1 * i},{1.0 - 0.1 * i},{0.5 * i}" for i in range(8)]
+        data.write_text(header + "\n" + "\n".join(rows) + "\n")
+        code = run_cli("train", "--data", str(data), "--target", "y",
+                       "--epochs", "1", "--mlp", "4-1",
+                       "--out", str(tmp_path / "m.plm"))
+        assert code == 1
+        assert capsys.readouterr().err == f"pilid: error: {data}: {message}\n"
+
+    @pytest.mark.parametrize("header,message", [
+        ("x1,x2,x3,x1", "duplicate column name 'x1'"),
+        ("x1,x2,x3,", "column 4 has an empty name"),
+    ])
+    def test_predict_bad_header_exits_1(self, header, message, synth_csv,
+                                        tmp_path, capsys):
+        model_path = tmp_path / "model.plm"
+        assert run_cli("train", "--data", str(synth_csv), "--target", "y",
+                       "--epochs", "1", "--mlp", "4-1",
+                       "--out", str(model_path)) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "\n0.1,0.2,0.3,0.4\n")
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(model_path),
+                       "--data", str(bad)) == 1
+        assert capsys.readouterr().err == f"pilid: error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("cell,shown", [("nan", "nan"), ("NaN", "nan"),
                                             ("inf", "inf"), ("-inf", "-inf"),

@@ -5,16 +5,21 @@ from pilid.dataset import Dataset, FeatureSpec
 from pilid.encoding import build_points, encode_matrix
 from pilid.mlp_component import init_gaussian, mlp_forward
 from pilid.pl_component import PiecewiseLinearParams, init_least_squares, linear_forward
-from pilid.trainer import PilidModel, TrainConfig, TrainingError, model_forward
-from pilid.pilib import (
+from pilid.trainer import (
     PilibGates,
-    PilibModel,
+    PilidModel,
+    TrainConfig,
+    TrainingError,
+    gate_values,
+    lk_penalty,
+    loss_and_grads,
+    model_forward,
+    param_arrays,
+)
+from pilid.pilib import (
     active_feature_sets,
     estimated_orders,
-    gate_values,
     interaction_surface,
-    lk_penalty,
-    pilib_forward,
     train_pilib,
 )
 
@@ -42,7 +47,7 @@ def manual_pilib(data, B=2, gamma=3, hidden=(6,), seed=0, log_alpha=None):
         log_alpha = np.zeros((B, data.m))
     gates = PilibGates(log_alpha=np.asarray(log_alpha, dtype=float),
                        temperature=0.05, K=3, lambda0=0.1)
-    return PilibModel(pl=pl, blocks=blocks, gates=gates, points=points,
+    return PilidModel(pl=pl, blocks=blocks, gates=gates, points=points,
                       task=data.task, train_means=data.rows.mean(axis=0))
 
 
@@ -111,9 +116,9 @@ class TestForward:
     def test_all_gates_open_single_block_matches_hybrid(self):
         data = interaction_data(n=200, m=4)
         model = manual_pilib(data, B=1, log_alpha=np.full((1, 4), 50.0))
-        ref = PilidModel(pl=model.pl, mlp=model.blocks[0],
+        ref = PilidModel(pl=model.pl, blocks=[model.blocks[0]],
                          points=model.points, task=data.task)
-        s_pilib, _ = pilib_forward(model, data.rows[:50])
+        s_pilib, _ = model_forward(model, data.rows[:50])
         s_ref, _ = model_forward(ref, data.rows[:50])
         np.testing.assert_allclose(s_pilib, s_ref, atol=1e-12)
 
@@ -121,7 +126,7 @@ class TestForward:
         data = interaction_data(n=100, m=4)
         model = manual_pilib(data, B=2, log_alpha=np.full((2, 4), -50.0))
         X = data.rows[:20]
-        score, _ = pilib_forward(model, X)
+        score, _ = model_forward(model, X)
         phi = encode_matrix(X, model.points)
         wide = linear_forward(phi, model.pl, model.points)
         offset = sum(mlp_forward(np.zeros(4), blk)[0] for blk in model.blocks)
@@ -136,17 +141,17 @@ class TestForward:
         model.pl.omega[:] = 0.0
         model.pl.w0 -= model.pl.w0
         x = data.rows[7].copy()
-        base, _ = pilib_forward(model, x)
+        base, _ = model_forward(model, x)
         x[3] += 10.0          # feature 3 is gated off everywhere
-        bumped, _ = pilib_forward(model, x)
+        bumped, _ = model_forward(model, x)
         assert bumped == pytest.approx(base, abs=1e-12)
 
     def test_hard_gates_override_logits(self):
         data = interaction_data(n=100, m=4)
         model = manual_pilib(data, B=1, log_alpha=np.full((1, 4), 50.0))
-        open_score, _ = pilib_forward(model, data.rows[:5])
+        open_score, _ = model_forward(model, data.rows[:5])
         model.hard_gates = np.zeros((1, 4))
-        closed_score, _ = pilib_forward(model, data.rows[:5])
+        closed_score, _ = model_forward(model, data.rows[:5])
         assert not np.allclose(open_score, closed_score)
 
     def test_classification_prediction_is_sigmoid(self):
@@ -155,8 +160,59 @@ class TestForward:
         clf = Dataset(rows=data.rows, targets=labels, specs=data.specs,
                       task="classification")
         model = manual_pilib(clf, B=1)
-        score, pred = pilib_forward(model, clf.rows[:10])
+        score, pred = model_forward(model, clf.rows[:10])
         np.testing.assert_allclose(pred, 1 / (1 + np.exp(-score)), atol=1e-12)
+
+
+class TestGatedGradients:
+    """Finite differences of the gated-block loss in both gate states."""
+
+    def _model(self):
+        data = interaction_data(n=40, m=4, seed=5)
+        model = manual_pilib(data, B=3, hidden=(5,), seed=2)
+        for blk in model.blocks:
+            blk.activation = "tanh"
+        # relaxed gates strictly inside (0, 1), one block clearly largest
+        model.gates.log_alpha = np.array([[1.5, 1.2, 0.9, 1.4],
+                                          [0.3, -0.4, 0.6, -0.2],
+                                          [-0.5, 0.8, 0.1, 0.4]])
+        model.gates.temperature = 1.0
+        model.gates.K = 2
+        return model, data
+
+    def _check(self, model, data, cfg):
+        params = param_arrays(model)
+        _, grads = loss_and_grads(model, data.rows, data.targets, cfg)
+        h = 1e-6
+        for name, arr in params.items():
+            flat = arr.reshape(-1)
+            for i in range(min(flat.size, 6)):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss_and_grads(model, data.rows, data.targets, cfg)[0]
+                flat[i] = orig - h
+                dn = loss_and_grads(model, data.rows, data.targets, cfg)[0]
+                flat[i] = orig
+                fd = (up - dn) / (2 * h)
+                g = float(grads[name].reshape(-1)[i])
+                rel = abs(g - fd) / max(abs(g), abs(fd), 1e-4)
+                assert rel < 1e-4, f"{name}[{i}]: {g} vs {fd}"
+
+    def test_relaxed_gates_with_order_penalty(self):
+        model, data = self._model()
+        relaxed = gate_values(model.gates, "train")
+        assert np.all((relaxed > 0.0) & (relaxed < 1.0))
+        assert relaxed.sum(axis=1).max() > model.gates.K   # max term active
+        assert "gates.log_alpha" in param_arrays(model)
+        self._check(model, data, TrainConfig(lam=0.01, reg="l2"))
+
+    def test_frozen_hard_gates(self):
+        model, data = self._model()
+        model.hard_gates = np.array([[1.0, 1.0, 0.0, 1.0],
+                                     [0.0, 1.0, 1.0, 0.0],
+                                     [1.0, 0.0, 0.0, 0.0]])
+        assert "gates.log_alpha" not in param_arrays(model)
+        self._check(model, data, TrainConfig(lam=0.01, reg="l2"))
 
 
 @pytest.fixture(scope="module")
@@ -193,9 +249,9 @@ class TestTraining:
             pytest.skip("every feature stayed active for this seed")
         model.pl.omega[:] = 0.0   # isolate the blocks
         x = data.rows[0].copy()
-        base, _ = pilib_forward(model, x)
+        base, _ = model_forward(model, x)
         x[dead[0]] += 5.0
-        bumped, _ = pilib_forward(model, x)
+        bumped, _ = model_forward(model, x)
         assert bumped == pytest.approx(base, abs=1e-12)
 
     def test_deterministic(self):

@@ -21,12 +21,6 @@ from pilid.encoding import (
 )
 from pilid.mlp_component import MlpError, init_gaussian, mlp_forward, mlp_predict
 from pilid.persist import save
-from pilid.pilib import (
-    PilibGates,
-    PilibModel,
-    pilib_forward,
-    pilib_loss_and_grads,
-)
 from pilid.pl_component import (
     PiecewiseLinearParams,
     curve_forward,
@@ -35,7 +29,10 @@ from pilid.pl_component import (
     linear_forward,
 )
 from pilid.trainer import (
+    PilibGates,
+    PilidModel,
     TrainConfig,
+    loss_and_grads,
     model_forward,
     train,
 )
@@ -221,7 +218,7 @@ class TestModelForward:
         net = dataclasses.replace(model.mlp,
                                   head_w=np.zeros_like(model.mlp.head_w),
                                   head_b=np.float64(0.0))
-        wide_only = dataclasses.replace(model, mlp=net)
+        wide_only = dataclasses.replace(model, blocks=[net])
         shapes = extract_shapes(model.pl, model.points)
         first = np.array([p[0] for p in model.points.points])
         tol = 1e-12 * wide_magnitude(model)
@@ -259,7 +256,7 @@ def random_pilib(data, B=3, seed=0):
     blocks = [init_gaussian([data.m, 6, 4], 0.6, [seed, i]) for i in range(B)]
     gates = PilibGates(log_alpha=rng.normal(0, 1, (B, data.m)))
     hard = (rng.random((B, data.m)) < 0.6).astype(np.float64)
-    return PilibModel(pl=pl, blocks=blocks, gates=gates, points=points,
+    return PilidModel(pl=pl, blocks=blocks, gates=gates, points=points,
                       task=data.task, feature_names=data.feature_names,
                       train_means=data.rows.mean(axis=0), hard_gates=hard)
 
@@ -273,18 +270,18 @@ class TestPilibForward:
                              model.points)
         for i, block in enumerate(model.blocks):
             ref = ref + mlp_forward(X * model.hard_gates[i], block)[0]
-        score, _ = pilib_forward(model, X)
+        score, _ = model_forward(model, X)
         tol = 1e-12 * (wide_magnitude(model) + np.max(np.abs(ref)))
         assert np.max(np.abs(score - ref)) <= tol
 
     def test_error_contract(self):
         model = random_pilib(layout_data())
         with pytest.raises(EncodingError, match="expected 3 features, got 5"):
-            pilib_forward(model, np.zeros((2, 5)))
+            model_forward(model, np.zeros((2, 5)))
         X = block_rows(model)
         X[-1, 1] = np.nan
         with pytest.raises(MlpError, match="non-finite input"):
-            pilib_forward(model, X)
+            model_forward(model, X)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_closed_gate_column_warns_nothing(self, value):
@@ -298,12 +295,11 @@ class TestPilibForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MlpError, match="non-finite input"):
-                pilib_forward(model, X)
-            for phase in (1, 2):
+                model_forward(model, X)
+            # relaxed gates (phase 1), then the hard gates (phase 2)
+            for state in (dataclasses.replace(model, hard_gates=None), model):
                 with pytest.raises(MlpError, match="non-finite input"):
-                    pilib_loss_and_grads(model, X, data.targets[:4], cfg,
-                                         phase=phase,
-                                         hard_gates=model.hard_gates)
+                    loss_and_grads(state, X, data.targets[:4], cfg)
 
 
 class TestPredictCli:

@@ -12,7 +12,6 @@ from pilid.trainer import (
     PilidModel,
     TrainConfig,
     TrainingError,
-    adam_step,
     init_model,
     loss,
     loss_and_grads,
@@ -46,7 +45,7 @@ def zeroed_model(task="regression", m=2, gamma=3, hidden=(4,)):
                              zip(widths[:-1], widths[1:])],
                     biases=[np.zeros(b) for b in widths[1:]],
                     head_w=np.zeros(widths[-1]), head_b=np.float64(0.0))
-    return PilidModel(pl=pl, mlp=mlp, points=points, task=task)
+    return PilidModel(pl=pl, blocks=[mlp], points=points, task=task)
 
 
 class TestConfig:
@@ -70,21 +69,21 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = {"a": np.array([1.0, 2.0])}
         opt = Adam(p, TrainConfig())
-        adam_step(opt, {"a": np.zeros(2)})
+        opt.step({"a": np.zeros(2)})
         np.testing.assert_array_equal(p["a"], [1.0, 2.0])
 
     def test_first_step_size_equals_learning_rate(self):
         # with bias correction the first update is lr * g / (|g| + eps)
         p = {"a": np.array([0.0])}
         opt = Adam(p, TrainConfig(learning_rate=0.01))
-        adam_step(opt, {"a": np.array([3.7])})
+        opt.step({"a": np.array([3.7])})
         assert p["a"][0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_equal_grads_equal_updates(self):
         p = {"a": np.array([5.0, 5.0])}
         opt = Adam(p, TrainConfig())
         for _ in range(10):
-            adam_step(opt, {"a": np.array([1.0, 1.0])})
+            opt.step({"a": np.array([1.0, 1.0])})
         assert p["a"][0] == p["a"][1]
 
     def test_scalar_param_thousand_steps_bounded(self):
@@ -95,7 +94,7 @@ class TestAdam:
         opt = Adam(p, cfg)
         prev = 0.0
         for _ in range(1000):
-            adam_step(opt, {"a": np.asarray(1.0)})
+            opt.step({"a": np.asarray(1.0)})
             now = float(p["a"])
             assert abs(now - prev) <= cfg.learning_rate * 1.0001
             prev = now
@@ -109,7 +108,7 @@ class TestAdam:
     def test_updates_are_in_place(self):
         arr = np.array([1.0])
         opt = Adam({"a": arr}, TrainConfig())
-        adam_step(opt, {"a": np.array([1.0])})
+        opt.step({"a": np.array([1.0])})
         assert arr[0] != 1.0    # same array object was modified
 
 
