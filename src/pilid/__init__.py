@@ -9,7 +9,7 @@ features interact.
 """
 
 from pilid.dataset import Dataset, FeatureSpec, load_csv, split, batches
-from pilid.encoding import CharacteristicPoints, build_points, encode, encode_matrix
+from pilid.encoding import CharacteristicPoints, build_points, encode_matrix
 from pilid.pl_component import (
     PiecewiseLinearParams,
     FeatureShape,
@@ -33,7 +33,7 @@ from pilid.persist import save, load, export_shapes
 
 __all__ = [
     "Dataset", "FeatureSpec", "load_csv", "split", "batches",
-    "CharacteristicPoints", "build_points", "encode", "encode_matrix",
+    "CharacteristicPoints", "build_points", "encode_matrix",
     "PiecewiseLinearParams", "FeatureShape", "linear_forward",
     "curve_forward", "init_least_squares", "extract_shapes",
     "MlpParams", "mlp_forward", "mlp_predict", "mlp_backward",

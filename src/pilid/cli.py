@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -99,33 +98,16 @@ def _cmd_train_pilib(args) -> int:
 
 
 def _read_feature_matrix(path, model) -> np.ndarray:
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise CliError(f"{path}: empty file")
-        header = [h.strip() for h in first]
-        dataset.check_header(header, path)
-        cols = []
+    def model_columns(header):
         for name in model.feature_names:
             if name not in header:
                 raise CliError(f"{path}: column {name!r} required by the "
                                "model is missing")
-            cols.append(header.index(name))
-        rows = []
-        for r, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(row[c]) for c in cols])
-            except (ValueError, IndexError):
-                raise CliError(f"{path}: bad row at line {r}") from None
-    if not rows:
+        return [header.index(name) for name in model.feature_names]
+
+    _, mat = dataset.read_csv(path, model_columns)
+    if len(mat) == 0:
         raise CliError(f"{path}: no data rows")
-    mat = np.asarray(rows, dtype=np.float64)
-    dataset.reject_non_finite(mat, path, model.feature_names)
     return mat
 
 
@@ -133,10 +115,9 @@ def _cmd_predict(args) -> int:
     model = persist.load(args.model)
     rows = _read_feature_matrix(args.data, model)
     _, preds = trainer.model_forward(model, rows)
-    lines = ["prediction"] + [repr(float(p)) for p in preds]
-    out = Path(args.out) if args.out else None
-    text = "\n".join(lines) + "\n"
-    if out:
+    text = "\n".join(["prediction", *map(repr, preds.tolist())]) + "\n"
+    if args.out:
+        out = Path(args.out)
         out.write_text(text, encoding="utf-8")
         print(f"{len(preds)} predictions written to {out}")
     else:

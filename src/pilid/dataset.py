@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,41 +136,73 @@ def reject_non_finite(mat: np.ndarray, path, columns: list[str]) -> None:
                            f"line {r + 2}, column {columns[c]!r}")
 
 
-def load_csv(path, target_column: str, task: str,
-             categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
-             kind_overrides: dict[str, str] | None = None) -> Dataset:
-    """Load a header-row CSV of reals into a Dataset.
-
-    Every cell must parse as a finite real (categoricals pre-coded);
-    missing, unparseable or non-finite cells are rejected with the
-    offending row and column named.
-    """
-    kind_overrides = kind_overrides or {}
-    if task not in TASKS:
-        raise DatasetError(f"unknown task {task!r}")
+def _open(path):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot open {path}: {exc}") from exc
-    with fh:
+
+
+def _line_count(path) -> int:
+    """Lines of a file, each ended by LF, CR or CR LF as the csv module and
+    numpy read them; a last line without an ending counts too."""
+    lines, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1    # a CR LF split across two chunks
+            last = chunk[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line that is not valid UTF-8.  A multi-byte
+    character never holds the byte LF, so each line decodes on its own."""
+    r = 0
+    with open(path, "rb") as fh:
+        for r, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return r
+    return r
+
+
+def _parse_fast(fh, path, n_cells: int, header_lines: int):
+    """The rest of `fh` through numpy's C parser, or None where that read
+    may differ from the per-cell scan: a cell it cannot parse, rows of
+    another length, or another row count than the file has data lines
+    (it skips blank lines, which the scan rejects)."""
+    try:
+        with warnings.catch_warnings():
+            # a file of blank lines would warn "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            mat = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+                             ndmin=2)
+    except ValueError:
+        return None
+    if mat.shape != (_line_count(path) - header_lines, n_cells):
+        return None
+    return mat
+
+
+def _scan(path, header: list[str], cols: list[int]) -> np.ndarray:
+    """Parse the selected cells of every data row with float(), raising
+    DatasetError at the first row of the wrong length or bad cell."""
+    data: list[list[float]] = []
+    with _open(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        check_header(header, path)
-        if target_column not in header:
-            raise DatasetError(f"{path}: target column {target_column!r} not found")
-        t_idx = header.index(target_column)
-        data: list[list[float]] = []
+        next(reader)
         for r, row in enumerate(reader, start=2):  # line number incl. header
             if len(row) != len(header):
                 raise DatasetError(f"{path}: line {r} has {len(row)} cells, "
                                    f"expected {len(header)}")
             parsed = []
-            for c, cell in enumerate(row):
-                cell = cell.strip()
+            for c in cols:
+                cell = row[c].strip()
                 if cell == "":
                     raise DatasetError(f"{path}: missing value at line {r}, "
                                        f"column {header[c]!r}")
@@ -180,10 +213,68 @@ def load_csv(path, target_column: str, task: str,
                         f"{path}: cannot parse {cell!r} at line {r}, "
                         f"column {header[c]!r}") from None
             data.append(parsed)
-    if len(data) < 2:
-        raise DatasetError(f"{path}: need at least 2 data rows, got {len(data)}")
-    mat = np.asarray(data, dtype=np.float64)
-    reject_non_finite(mat, path, header)
+    return np.asarray(data, dtype=np.float64).reshape(len(data), len(cols))
+
+
+def read_csv(path, select=None) -> tuple[list[str], np.ndarray]:
+    """Read a header-row CSV of reals.
+
+    Returns the stripped, checked header and a float64 matrix of the
+    columns that `select(header)` lists by index (all, in order, by
+    default; it may raise for a missing column).  Every row must have the
+    header's cell count and every selected cell must be a finite real;
+    otherwise DatasetError names the line and column.  numpy's C parser
+    reads the file; where its read may differ from the per-cell scan, the
+    scan reads the file again, to give the same values or name the bad
+    cell.  The file is streamed, never held as one string.
+    """
+    try:
+        with _open(path) as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DatasetError(f"{path}: empty file") from None
+            check_header(header, path)
+            every = list(range(len(header)))
+            cols = every if select is None else list(select(header))
+            mat = _parse_fast(fh, path, len(header), reader.line_num)
+        if mat is None:
+            mat = _scan(path, header, cols)
+        elif cols != every:
+            mat = mat[:, cols]
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: invalid UTF-8 at line "
+                           f"{_undecodable_line(path)}") from None
+    except csv.Error as exc:    # a field over the csv module's size limit
+        raise DatasetError(f"{path}: {exc}") from None
+    reject_non_finite(mat, path, [header[c] for c in cols])
+    return header, mat
+
+
+def load_csv(path, target_column: str, task: str,
+             categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
+             kind_overrides: dict[str, str] | None = None) -> Dataset:
+    """Load a header-row CSV of reals into a Dataset.
+
+    Every cell must parse as a finite real (categoricals pre-coded);
+    missing, unparseable or non-finite cells are rejected with the
+    offending row and column named (see `read_csv`).
+    """
+    kind_overrides = kind_overrides or {}
+    if task not in TASKS:
+        raise DatasetError(f"unknown task {task!r}")
+
+    def every_column(header):
+        if target_column not in header:
+            raise DatasetError(f"{path}: target column {target_column!r} "
+                               "not found")
+        return range(len(header))
+
+    header, mat = read_csv(path, every_column)
+    if len(mat) < 2:
+        raise DatasetError(f"{path}: need at least 2 data rows, got {len(mat)}")
+    t_idx = header.index(target_column)
     targets = mat[:, t_idx]
     rows = np.delete(mat, t_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != t_idx]

@@ -140,10 +140,3 @@ def encode_matrix(rows: np.ndarray, points: CharacteristicPoints) -> np.ndarray:
         out[:, o:o + len(p) - 1] = np.clip(frac, 0.0, 1.0)
     return out
 
-
-def encode(x: np.ndarray, points: CharacteristicPoints) -> np.ndarray:
-    """Encode a single length-m vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise EncodingError(f"expected a 1-D vector, got shape {x.shape}")
-    return encode_matrix(x[None, :], points)[0]

@@ -164,6 +164,9 @@ def load(path) -> PilidModel:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise PersistError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PersistError(f"{path}: not a model file (invalid UTF-8 at "
+                           f"byte {exc.start})") from None
     lines = text.splitlines()
     head = lines[0].split() if lines else []
     if head[:1] != [MAGIC]:

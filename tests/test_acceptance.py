@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pilid.dataset import split
-from pilid.encoding import CharacteristicPoints, build_points, encode, encode_matrix
+from pilid.encoding import CharacteristicPoints, build_points, encode_matrix
 from pilid.metrics_eval import ExperimentConfig, auc, mse, run_trials
 from pilid.pl_component import (
     PiecewiseLinearParams,
@@ -89,8 +89,9 @@ class TestCriterion02Encoding:
         # hand-checked reference value
         pts = CharacteristicPoints(points=[np.linspace(0, 1, 6)],
                                    constant=[False])
-        np.testing.assert_allclose(encode(np.array([0.5]), pts),
-                                   [1.0, 1.0, 0.5, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(
+            encode_matrix(np.array([0.5])[None, :], pts)[0],
+            [1.0, 1.0, 0.5, 0.0, 0.0], atol=1e-15)
         rng = np.random.default_rng(2024)
         checked = 0
         while checked < 10_000:

@@ -7,7 +7,6 @@ from pilid.encoding import (
     CharacteristicPoints,
     EncodingError,
     build_points,
-    encode,
     encode_matrix,
 )
 
@@ -85,29 +84,33 @@ class TestBuildPoints:
 
 class TestEncode:
     def test_lower_end_all_zero(self):
-        assert np.all(encode(np.array([0.0]), simple_points(5)) == 0.0)
+        phi = encode_matrix(np.array([0.0])[None, :], simple_points(5))[0]
+        assert np.all(phi == 0.0)
 
     def test_upper_end_all_one(self):
-        assert np.all(encode(np.array([1.0]), simple_points(5)) == 1.0)
+        phi = encode_matrix(np.array([1.0])[None, :], simple_points(5))[0]
+        assert np.all(phi == 1.0)
 
     def test_midpoint_hand_value(self):
         # x = 0.5 with 5 equal intervals on [0, 1]: two full intervals, the
         # third half-covered, the rest untouched.
-        phi = encode(np.array([0.5]), simple_points(5))
+        phi = encode_matrix(np.array([0.5])[None, :], simple_points(5))[0]
         np.testing.assert_allclose(phi, [1.0, 1.0, 0.5, 0.0, 0.0], atol=1e-15)
 
     def test_out_of_range_clamped(self):
         pts = simple_points(4)
-        np.testing.assert_array_equal(encode(np.array([-3.0]), pts),
-                                      encode(np.array([0.0]), pts))
-        np.testing.assert_array_equal(encode(np.array([9.0]), pts),
-                                      encode(np.array([1.0]), pts))
+        np.testing.assert_array_equal(
+            encode_matrix(np.array([-3.0])[None, :], pts)[0],
+            encode_matrix(np.array([0.0])[None, :], pts)[0])
+        np.testing.assert_array_equal(
+            encode_matrix(np.array([9.0])[None, :], pts)[0],
+            encode_matrix(np.array([1.0])[None, :], pts)[0])
 
     def test_constant_feature_encodes_to_zero(self):
         pts = CharacteristicPoints(
             points=[np.array([2.0]), np.linspace(0, 1, 4)],
             constant=[True, False])
-        phi = encode(np.array([2.0, 0.5]), pts)
+        phi = encode_matrix(np.array([2.0, 0.5])[None, :], pts)[0]
         assert phi[0] == 0.0 and pts.total == 4
 
     def test_matrix_matches_vector(self):
@@ -115,11 +118,12 @@ class TestEncode:
         rows = np.random.default_rng(0).uniform(-1, 3, (20, 1))
         mat = encode_matrix(rows, pts)
         for i in range(20):
-            np.testing.assert_array_equal(mat[i], encode(rows[i], pts))
+            np.testing.assert_array_equal(
+                mat[i], encode_matrix(rows[i][None, :], pts)[0])
 
     def test_wrong_width_rejected(self):
         with pytest.raises(EncodingError):
-            encode(np.array([0.5, 0.5]), simple_points(5))
+            encode_matrix(np.array([0.5, 0.5])[None, :], simple_points(5))[0]
 
 
 @st.composite
@@ -138,14 +142,14 @@ class TestEncodingProperties:
     @settings(max_examples=200, deadline=None)
     def test_block_structure(self, px):
         pts, x = px
-        assert_block_structure(encode(np.array([x]), pts))
+        assert_block_structure(encode_matrix(np.array([x])[None, :], pts)[0])
 
     @given(points_and_x(), st.floats(0, 5, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_x(self, px, bump):
         pts, x = px
-        lo = encode(np.array([x]), pts)
-        hi = encode(np.array([x + bump]), pts)
+        lo = encode_matrix(np.array([x])[None, :], pts)[0]
+        hi = encode_matrix(np.array([x + bump])[None, :], pts)[0]
         assert np.all(hi >= lo - 1e-15)
 
     @given(points_and_x())
@@ -155,7 +159,7 @@ class TestEncodingProperties:
         # in-range x (clamped otherwise).
         pts, x = px
         p = pts.points[0]
-        phi = encode(np.array([x]), pts)
+        phi = encode_matrix(np.array([x])[None, :], pts)[0]
         xc = min(max(x, p[0]), p[-1])
         recon = p[0] + float(np.dot(np.diff(p), phi))
         assert recon == pytest.approx(xc, abs=1e-12 * max(1.0, abs(xc)))
@@ -166,8 +170,8 @@ class TestEncodingProperties:
         pts, x = px
         p = pts.points[0]
         h = (p[-1] - p[0]) * 1e-9
-        a = encode(np.array([x]), pts)
-        b = encode(np.array([x + h]), pts)
+        a = encode_matrix(np.array([x])[None, :], pts)[0]
+        b = encode_matrix(np.array([x + h])[None, :], pts)[0]
         # each entry has slope at most 1/min_interval
         lip = 1.0 / np.diff(p).min()
         assert np.all(np.abs(b - a) <= 2 * h * lip + 1e-12)
@@ -176,5 +180,5 @@ class TestEncodingProperties:
     @settings(max_examples=100, deadline=None)
     def test_entries_in_unit_interval(self, gamma, xi):
         pts = simple_points(gamma)
-        phi = encode(np.array([xi / 1000]), pts)
+        phi = encode_matrix(np.array([xi / 1000])[None, :], pts)[0]
         assert np.all((phi >= 0) & (phi <= 1))

@@ -1,0 +1,202 @@
+"""A bad input of any kind, a damaged model file or a ragged or garbled
+CSV, ends in exit code 1 and one `pilid: error:` line that names the file:
+never a traceback, a warning or a message without the path."""
+
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pilid.cli import main
+
+N_ROWS = 30
+
+
+def run(*argv):
+    """Exit code, stderr and warnings of one `pilid` command."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, err.getvalue(), caught
+
+
+def assert_one_error_naming(path, code, err, caught):
+    assert code == 1, err
+    assert err.startswith("pilid: error: ") and err.count("\n") == 1, err
+    assert str(path) in err, err
+    assert caught == []
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A small CSV, a PiLiD and a PiLiB model trained on it, and each
+    model's predictions on it."""
+    d = tmp_path_factory.mktemp("contract")
+    data = d / "data.csv"
+    assert run("synth", "--m", "2", "--n", N_ROWS, "--seed", 3,
+               "--out", data)[0] == 0
+    flags = ["--data", data, "--target", "y", "--epochs", 1, "--mlp", "4-1",
+             "--gammas", 3]
+    assert run("train", *flags, "--out", d / "pilid.plm")[0] == 0
+    assert run("train-pilib", *flags, "--blocks", 2,
+               "--out", d / "pilib.plm")[0] == 0
+    models, preds = {}, {}
+    for variant in ("pilid", "pilib"):
+        models[variant] = (d / f"{variant}.plm").read_bytes()
+        assert run("predict", "--model", d / f"{variant}.plm", "--data", data,
+                   "--out", d / "p.csv")[0] == 0
+        preds[variant] = (d / "p.csv").read_bytes()
+    return d, data, models, preds
+
+
+@st.composite
+def damage(draw, size):
+    """A truncation or a one-byte flip of a file of `size` bytes."""
+    i = draw(st.integers(0, size - 1))
+    if draw(st.booleans()):
+        return lambda b: b[:i]
+    x = draw(st.integers(1, 255))
+    return lambda b: b[:i] + bytes([b[i] ^ x]) + b[i + 1:]
+
+
+class TestDamagedModelFile:
+    @given(variant=st.sampled_from(["pilid", "pilib"]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_or_read_as_the_same_model(self, saved, variant, data):
+        d, csv_path, models, preds = saved
+        model = d / "damaged.plm"
+        out = d / "damaged_pred.csv"
+        model.write_bytes(data.draw(damage(len(models[variant])))(
+            models[variant]))
+        out.unlink(missing_ok=True)
+        code, err, caught = run("predict", "--model", model,
+                                "--data", csv_path, "--out", out)
+        if code == 0:
+            # The loader reads a file as lines of whitespace-separated
+            # tokens, so a flip between line ends (LF to CR) or between
+            # whitespace characters, or a cut of the last line end, leaves
+            # the model it reads unchanged.
+            assert out.read_bytes() == preds[variant]
+            assert caught == [] and err == ""
+        else:
+            assert_one_error_naming(model, code, err, caught)
+
+    def test_invalid_utf8_names_the_file(self, saved, tmp_path):
+        _, csv_path, models, _ = saved
+        model = tmp_path / "bad.plm"
+        raw = bytearray(models["pilid"])
+        raw[40] = 0xb9
+        model.write_bytes(bytes(raw))
+        code, err, caught = run("predict", "--model", model,
+                                "--data", csv_path)
+        assert_one_error_naming(model, code, err, caught)
+        assert err == (f"pilid: error: {model}: not a model file "
+                       "(invalid UTF-8 at byte 40)\n")
+
+
+GARBAGE = ["", " ", "abc", "#", "#1", "1 2", '"', "--1", "0x1p3", "1e", "nan",
+           "-inf", "1e400", "\x00", "1,"]
+
+
+@st.composite
+def broken_csvs(draw, text, read_columns):
+    """`text` with one data row made ragged or one of its first
+    `read_columns` cells garbled, a blank line inserted, or invalid UTF-8
+    written into it."""
+    lines = text.split("\n")[:-1]
+    r = draw(st.integers(1, len(lines) - 1))
+    cells = lines[r].split(",")
+    how = draw(st.sampled_from(["ragged", "garbled", "blank", "utf-8"]))
+    if how == "ragged":
+        cells = draw(st.sampled_from([cells[:-1], cells + ["0.5"]]))
+    elif how == "garbled":
+        cells[draw(st.integers(0, read_columns - 1))] = \
+            draw(st.sampled_from(GARBAGE))
+    elif how == "blank":
+        lines.insert(r, "")
+    lines[r] = lines[r] if how == "blank" else ",".join(cells)
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    if how == "utf-8":
+        i = draw(st.integers(0, len(raw) - 1))
+        raw = raw[:i] + draw(st.sampled_from([b"\xb9", b"\xff", b"\xc3("])) \
+            + raw[i:]
+    return raw
+
+
+class TestBrokenCsv:
+    @given(command=st.sampled_from(["train", "predict"]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_error_line_naming_the_file(self, saved, command, data):
+        d, csv_path, _, _ = saved
+        bad = d / "broken.csv"
+        # predict reads only the model's columns x1 and x2, not y
+        read_columns = 3 if command == "train" else 2
+        bad.write_bytes(data.draw(broken_csvs(csv_path.read_text(),
+                                              read_columns)))
+        if command == "train":
+            argv = ["train", "--data", bad, "--target", "y", "--epochs", 1,
+                    "--mlp", "4-1", "--out", d / "never.plm"]
+        else:
+            argv = ["predict", "--model", d / "pilid.plm", "--data", bad,
+                    "--out", d / "never.csv"]
+        assert_one_error_naming(bad, *run(*argv))
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_invalid_utf8_names_file_and_line(self, saved, tmp_path,
+                                              command):
+        d, csv_path, _, _ = saved
+        bad = tmp_path / "bad.csv"
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:3] + b"\xb9" + lines[2][3:]
+        bad.write_bytes(b"\n".join(lines))
+        argv = (["train", "--data", bad, "--target", "y",
+                 "--out", tmp_path / "m.plm"] if command == "train" else
+                ["predict", "--model", d / "pilid.plm", "--data", bad])
+        code, err, caught = run(*argv)
+        assert_one_error_naming(bad, code, err, caught)
+        assert err == f"pilid: error: {bad}: invalid UTF-8 at line 3\n"
+
+
+class TestPredictReader:
+    """`pilid predict` reads its CSV with the same checks as training."""
+
+    def predict(self, saved, text, tmp_path, name="score"):
+        d = saved[0]
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        out = tmp_path / f"{name}_pred.csv"
+        return path, out, run("predict", "--model", d / "pilid.plm",
+                              "--data", path, "--out", out)
+
+    def test_row_longer_than_header_is_rejected(self, saved, tmp_path):
+        path, _, (code, err, _) = self.predict(
+            saved, "x1,x2\n0.1,0.2\n0.3,0.4,0.5\n", tmp_path)
+        assert code == 1
+        assert err == (f"pilid: error: {path}: line 3 has 3 cells, "
+                       "expected 2\n")
+
+    def test_bad_cell_names_line_and_column(self, saved, tmp_path):
+        path, _, (code, err, _) = self.predict(
+            saved, "x2,x1\n0.1,0.2\n0.3,abc\n", tmp_path)
+        assert code == 1
+        assert err == (f"pilid: error: {path}: cannot parse 'abc' at line 3, "
+                       "column 'x1'\n")
+
+    def test_blank_line_is_rejected(self, saved, tmp_path):
+        path, _, (code, err, _) = self.predict(
+            saved, "x1,x2\n0.1,0.2\n\n0.3,0.4\n", tmp_path)
+        assert code == 1
+        assert err == f"pilid: error: {path}: line 3 has 0 cells, expected 2\n"
+
+    def test_text_column_the_model_does_not_use(self, saved, tmp_path):
+        _, plain, (code, _, _) = self.predict(
+            saved, "x1,x2\n0.1,0.2\n0.3,0.4\n", tmp_path, "plain")
+        assert code == 0
+        _, with_id, (code, _, _) = self.predict(
+            saved, "id,x2,x1\nfirst,0.2,0.1\nsecond,0.4,0.3\n", tmp_path)
+        assert code == 0
+        assert with_id.read_bytes() == plain.read_bytes()

@@ -4,7 +4,6 @@ import pytest
 from pilid.encoding import (
     BLOCK_ROWS,
     CharacteristicPoints,
-    encode,
     encode_matrix,
 )
 from pilid.pl_component import (
@@ -57,7 +56,7 @@ class TestLinearForward:
         # one feature, gamma=1: w0 + omega * (w * phi + b * [phi > 0])
         pts = grid_points([1])
         params = PiecewiseLinearParams(w=[2.0], b=[0.0], omega=[1.0], w0=0.5)
-        phi = encode(np.array([0.25]), pts)   # phi = [0.25]
+        phi = encode_matrix(np.array([0.25])[None, :], pts)[0]   # phi = [0.25]
         assert linear_forward(phi, params, pts) == pytest.approx(1.0)
 
     def test_all_ones_encoding_sums_weights(self):
@@ -72,15 +71,17 @@ class TestLinearForward:
         params = PiecewiseLinearParams(w=rng.normal(0, 1, 6),
                                        b=rng.normal(0, 1, 6),
                                        omega=[0.0, 0.0], w0=1.25)
-        phi = encode(np.array([0.3, 0.8]), pts)
+        phi = encode_matrix(np.array([0.3, 0.8])[None, :], pts)[0]
         assert linear_forward(phi, params, pts) == pytest.approx(1.25)
 
     def test_bias_counts_only_when_active(self):
         pts = grid_points([2])
         params = PiecewiseLinearParams(w=np.zeros(2), b=[1.0, 1.0],
                                        omega=[1.0], w0=0.0)
-        at_zero = linear_forward(encode(np.array([0.0]), pts), params, pts)
-        mid = linear_forward(encode(np.array([0.6]), pts), params, pts)
+        at_zero = linear_forward(
+            encode_matrix(np.array([0.0])[None, :], pts)[0], params, pts)
+        mid = linear_forward(
+            encode_matrix(np.array([0.6])[None, :], pts)[0], params, pts)
         assert at_zero == pytest.approx(0.0)
         assert mid == pytest.approx(2.0)   # both units active
 
@@ -209,8 +210,10 @@ class TestExtractShapes:
             for k in range(len(knots) - 1):
                 lo, hi = other.copy(), other.copy()
                 lo[j], hi[j] = knots[k], knots[k + 1]
-                diff = (linear_forward(encode(hi, pts), params, pts)
-                        - linear_forward(encode(lo, pts), params, pts))
+                diff = (linear_forward(encode_matrix(hi[None, :], pts)[0],
+                                       params, pts)
+                        - linear_forward(encode_matrix(lo[None, :], pts)[0],
+                                         params, pts))
                 expect = shapes[j].us[k + 1] - shapes[j].us[k]
                 assert diff == pytest.approx(expect, abs=1e-10)
 
@@ -223,7 +226,8 @@ class TestExtractShapes:
         for ka in range(4):
             for kb in range(5):
                 x = np.array([pts.points[0][ka], pts.points[1][kb]])
-                val = linear_forward(encode(x, pts), params, pts)
+                val = linear_forward(encode_matrix(x[None, :], pts)[0],
+                                     params, pts)
                 expect = float(params.w0) + shapes[0].us[ka] + shapes[1].us[kb]
                 assert val == pytest.approx(expect, abs=1e-10)
 

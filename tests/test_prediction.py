@@ -16,7 +16,6 @@ from pilid.encoding import (
     CharacteristicPoints,
     EncodingError,
     build_points,
-    encode,
     encode_matrix,
 )
 from pilid.mlp_component import MlpError, init_gaussian, mlp_forward, mlp_predict
@@ -107,7 +106,8 @@ class TestCurveForward:
         got = curve_forward(x, params, points)
         assert isinstance(got, float)
         assert got == pytest.approx(
-            linear_forward(encode(x, points), params, points),
+            linear_forward(encode_matrix(x[None, :], points)[0], params,
+                           points),
             abs=1e-12 * magnitude(params, points))
 
     def test_constant_feature_adds_nothing(self):
