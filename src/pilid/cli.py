@@ -19,16 +19,29 @@ def _task(flag: str) -> str:
     return dataset.REGRESSION if flag == "reg" else dataset.CLASSIFICATION
 
 
-def _add_data_flags(p):
+def _add_task_flag(p):
+    p.add_argument("--task", choices=("reg", "clf"), default="reg")
+
+
+def _add_file_flags(p):
+    """What `train` and `train-pilib` take and a trials config does not:
+    the files of the run and the blocks' activation."""
     p.add_argument("--data", required=True, help="input CSV path")
     p.add_argument("--target", required=True, help="target column name")
-    p.add_argument("--task", choices=("reg", "clf"), default="reg")
+    _add_task_flag(p)
+    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
+    p.add_argument("--out", required=True, help="model output path (.plm)")
+    p.add_argument("--trace-out", help="per-epoch loss trace CSV")
+
+
+def _add_seed_flag(p):
+    p.add_argument("--seed", type=int, default=1)
 
 
 def _add_train_flags(p):
     p.add_argument("--split", type=float, default=0.8,
                    help="train fraction (1.0 trains on everything)")
-    p.add_argument("--seed", type=int, default=1)
+    _add_seed_flag(p)
     p.add_argument("--gammas", type=int, default=5,
                    help="sub-intervals per numerical feature")
     p.add_argument("--mlp", default="32-32-1", help="architecture, e.g. "
@@ -40,9 +53,29 @@ def _add_train_flags(p):
     p.add_argument("--reg", choices=("l1", "l2", "none"), default="l2")
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--ridge", type=float, default=1e-8)
-    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
-    p.add_argument("--out", required=True, help="model output path (.plm)")
-    p.add_argument("--trace-out", help="per-epoch loss trace CSV")
+
+
+def _add_pl_init_flag(p):
+    p.add_argument("--pl-init", choices=("least_squares", "gaussian"),
+                   default="least_squares")
+
+
+def _add_pilib_flags(p):
+    p.add_argument("--blocks", type=int, default=20)
+    p.add_argument("--max-order", type=int, default=3)
+    p.add_argument("--lambda0", type=float, default=0.1)
+
+
+def _add_synth_flags(p, required: bool):
+    """The generator's flags.  `synth` requires the size; a trials config
+    may leave it at the defaults."""
+    p.add_argument("--m", type=int, required=required, default=10,
+                   help="features")
+    p.add_argument("--n", type=int, required=required, default=20000,
+                   help="rows")
+    _add_task_flag(p)
+    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--interactions", type=int, default=None)
 
 
 def _load_training_data(args):
@@ -128,42 +161,57 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model = persist.load(args.model)
     data = dataset.load_csv(args.data, args.target, model.task)
-    scores, preds = trainer.model_forward(model, data.rows)
-    if model.task == dataset.CLASSIFICATION:
-        value = metrics_eval.auc(scores, data.targets)
-        print(f"auc {value:.6f}")
-    else:
-        value = metrics_eval.mse(preds, data.targets)
-        print(f"mse {value:.6f}")
+    name, value = metrics_eval.evaluate(model, data)
+    print(f"{name} {value:.6f}")
     return 0
 
 
-def _cmd_synth(args) -> int:
-    spec = synth.SyntheticSpec(m=args.m, n=args.n, task=_task(args.task),
+def _synthetic_spec(args) -> synth.SyntheticSpec:
+    return synth.SyntheticSpec(m=args.m, n=args.n, task=_task(args.task),
                                noise_std=args.noise, seed=args.seed,
                                n_interactions=args.interactions)
-    data, truth = synth.generate(spec)
+
+
+def _cmd_synth(args) -> int:
+    data, truth = synth.generate(_synthetic_spec(args))
     header = ",".join(s.name for s in data.specs) + ",y"
     lines = [header]
     for row, y in zip(data.rows, data.targets):
         lines.append(",".join(repr(float(v)) for v in row) + f",{float(y)!r}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.truth_out:
-        tl = ["feature,point_index,x,u"]
-        for s in truth:
-            for k, (x, u) in enumerate(zip(s.xs, s.us)):
-                tl.append(f"{s.feature},{k},{float(x)!r},{float(u)!r}")
-        Path(args.truth_out).write_text("\n".join(tl) + "\n", encoding="utf-8")
+        persist.write_shapes_csv(truth, args.truth_out)
     print(f"{data.n} rows written to {args.out}")
     return 0
 
 
-def _parse_config_file(path) -> dict[str, str]:
-    out = {}
+class _ConfigParser(argparse.ArgumentParser):
+    """The flags a trials config sets: the generator, training, model kind
+    and gated-block flags.  An error names the config file."""
+
+    def __init__(self, path):
+        super().__init__(add_help=False, allow_abbrev=False)
+        self.path = path
+        _add_synth_flags(self, required=False)
+        _add_train_flags(self)
+        self.add_argument("--model", choices=("pilid", "mlp", "pilib"),
+                          default="pilid")
+        _add_pl_init_flag(self)
+        _add_pilib_flags(self)
+
+    def error(self, message):
+        raise CliError(f"{self.path}: {message}")
+
+
+def _config_flags(path) -> list[str]:
+    """Each `key = value` line of a config file as one `--key=value` flag;
+    `_` in a key reads as `-`, and the `=` keeps a value such as -1 from
+    reading as a flag."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
+    flags = []
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -171,37 +219,20 @@ def _parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}: line {ln}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _experiment_from_config(cfg: dict[str, str]) -> metrics_eval.ExperimentConfig:
-    task = _task(cfg.get("task", "reg"))
-    sspec = synth.SyntheticSpec(
-        m=int(cfg.get("m", 10)), n=int(cfg.get("n", 20000)), task=task,
-        noise_std=float(cfg.get("noise", 0.1)),
-        n_interactions=int(cfg["interactions"]) if "interactions" in cfg else None)
-    tcfg = trainer.TrainConfig(
-        learning_rate=float(cfg.get("lr", 0.005)),
-        epochs=int(cfg.get("epochs", 100)),
-        batch_size=int(cfg.get("batch", 256)),
-        lam=float(cfg.get("lambda", 1e-4)), reg=cfg.get("reg", "l2"),
-        sigma=float(cfg.get("sigma", 0.05)),
-        ridge=float(cfg.get("ridge", 1e-8)))
-    return metrics_eval.ExperimentConfig(
-        synth=sspec, gammas=int(cfg.get("gammas", 5)),
-        mlp_widths=cfg.get("mlp", "32-32-1"),
-        model=cfg.get("model", "pilid"),
-        pl_init=cfg.get("pl_init", "least_squares"), train=tcfg,
-        train_fraction=float(cfg.get("split", 0.8)),
-        base_seed=int(cfg.get("seed", 1)),
-        blocks=int(cfg.get("blocks", 20)),
-        max_order=int(cfg.get("max_order", 3)),
-        lambda0=float(cfg.get("lambda0", 0.1)))
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _cmd_trials(args) -> int:
-    exp = _experiment_from_config(_parse_config_file(args.config))
+    cfg = _ConfigParser(args.config).parse_args(_config_flags(args.config))
+    try:
+        exp = metrics_eval.ExperimentConfig(
+            synth=_synthetic_spec(cfg), gammas=cfg.gammas, mlp_widths=cfg.mlp,
+            model=cfg.model, pl_init=cfg.pl_init, train=_train_config(cfg),
+            train_fraction=cfg.split, base_seed=cfg.seed, blocks=cfg.blocks,
+            max_order=cfg.max_order, lambda0=cfg.lambda0)
+    except (synth.SynthError, trainer.TrainingError) as exc:
+        raise CliError(f"{args.config}: {exc}") from None
     report = metrics_eval.run_trials(exp, args.trials)
     Path(args.report).write_text(report.to_csv(), encoding="utf-8")
     print(f"{args.trials} trials: mean {report.mean:.6f} "
@@ -239,20 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a hybrid model")
-    _add_data_flags(p)
+    _add_file_flags(p)
     _add_train_flags(p)
     p.add_argument("--mlp-only", action="store_true",
                    help="train the plain MLP baseline (no wide component)")
-    p.add_argument("--pl-init", choices=("least_squares", "gaussian"),
-                   default="least_squares")
+    _add_pl_init_flag(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("train-pilib", help="train the gated-block variant")
-    _add_data_flags(p)
+    _add_file_flags(p)
     _add_train_flags(p)
-    p.add_argument("--blocks", type=int, default=20)
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--lambda0", type=float, default=0.1)
+    _add_pilib_flags(p)
     p.add_argument("--diagnostics-out", help="per-block active-feature CSV")
     p.set_defaults(func=_cmd_train_pilib)
 
@@ -275,12 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trials)
 
     p = sub.add_parser("synth", help="generate synthetic data")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--task", choices=("reg", "clf"), default="reg")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--interactions", type=int, default=None)
+    _add_synth_flags(p, required=True)
+    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", help="true marginal curves CSV")
     p.set_defaults(func=_cmd_synth)

@@ -12,7 +12,8 @@ REGRESSION = "regression"
 CLASSIFICATION = "classification"
 TASKS = (REGRESSION, CLASSIFICATION)
 
-DEFAULT_CATEGORICAL_THRESHOLD = 20
+# A column of at most this many distinct integer values is categorical.
+CATEGORICAL_THRESHOLD = 20
 
 
 class DatasetError(ValueError):
@@ -95,19 +96,18 @@ def _is_integral(values: np.ndarray) -> bool:
 
 
 def infer_spec(name: str, column: np.ndarray,
-               threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
                kind: str | None = None) -> FeatureSpec:
     """Infer a FeatureSpec from observed column values.
 
-    A column counts as categorical when it has at most `threshold` distinct
-    values and all of them are integer codes; anything else is numerical.
-    `kind` forces the decision (per-column override or a fixed train-split
-    kind).
+    A column counts as categorical when it has at most
+    CATEGORICAL_THRESHOLD distinct values and all of them are integer
+    codes; anything else is numerical.  `kind` forces the decision (a
+    fixed train-split kind).
     """
     uniq = np.unique(column)
     if kind is None:
-        kind = "categorical" if (len(uniq) <= threshold and _is_integral(uniq)) \
-            else "numerical"
+        kind = "categorical" if (len(uniq) <= CATEGORICAL_THRESHOLD
+                                 and _is_integral(uniq)) else "numerical"
     if kind == "categorical":
         return FeatureSpec(name=name, kind="categorical", levels=tuple(uniq))
     return FeatureSpec(name=name, kind="numerical",
@@ -126,14 +126,16 @@ def check_header(names: list[str], path) -> None:
         seen.add(name)
 
 
-def reject_non_finite(mat: np.ndarray, path, columns: list[str]) -> None:
+def reject_non_finite(mat: np.ndarray, path, columns: list[str],
+                      lines) -> None:
     """Raise DatasetError naming the first NaN or infinite cell of a parsed
-    CSV matrix whose first row is line 2 and whose columns are `columns`."""
+    CSV matrix whose columns are `columns` and whose row r starts on line
+    `lines[r]` of the file."""
     bad = ~np.isfinite(mat)
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise DatasetError(f"{path}: non-finite value {str(mat[r, c])!r} at "
-                           f"line {r + 2}, column {columns[c]!r}")
+                           f"line {lines[r]}, column {columns[c]!r}")
 
 
 def _open(path):
@@ -189,14 +191,20 @@ def _parse_fast(fh, path, n_cells: int, header_lines: int):
     return mat
 
 
-def _scan(path, header: list[str], cols: list[int]) -> np.ndarray:
+def _scan(path, header: list[str], cols: list[int]):
     """Parse the selected cells of every data row with float(), raising
-    DatasetError at the first row of the wrong length or bad cell."""
+    DatasetError at the first row of the wrong length or bad cell.
+    Returns the matrix and the line each row starts on (a quoted cell may
+    hold line breaks, so a row may span several lines)."""
     data: list[list[float]] = []
+    lines: list[int] = []
     with _open(path) as fh:
         reader = csv.reader(fh)
         next(reader)
-        for r, row in enumerate(reader, start=2):  # line number incl. header
+        first = reader.line_num + 1     # the line the next row starts on
+        for row in reader:
+            r, first = first, reader.line_num + 1
+            lines.append(r)
             if len(row) != len(header):
                 raise DatasetError(f"{path}: line {r} has {len(row)} cells, "
                                    f"expected {len(header)}")
@@ -213,7 +221,8 @@ def _scan(path, header: list[str], cols: list[int]) -> np.ndarray:
                         f"{path}: cannot parse {cell!r} at line {r}, "
                         f"column {header[c]!r}") from None
             data.append(parsed)
-    return np.asarray(data, dtype=np.float64).reshape(len(data), len(cols))
+    mat = np.asarray(data, dtype=np.float64).reshape(len(data), len(cols))
+    return mat, lines
 
 
 def read_csv(path, select=None) -> tuple[list[str], np.ndarray]:
@@ -238,30 +247,31 @@ def read_csv(path, select=None) -> tuple[list[str], np.ndarray]:
             check_header(header, path)
             every = list(range(len(header)))
             cols = every if select is None else list(select(header))
-            mat = _parse_fast(fh, path, len(header), reader.line_num)
+            header_lines = reader.line_num
+            mat = _parse_fast(fh, path, len(header), header_lines)
         if mat is None:
-            mat = _scan(path, header, cols)
-        elif cols != every:
-            mat = mat[:, cols]
+            mat, lines = _scan(path, header, cols)
+        else:
+            # the fast path holds one line per row (its shape check)
+            lines = range(header_lines + 1, header_lines + 1 + len(mat))
+            if cols != every:
+                mat = mat[:, cols]
     except UnicodeDecodeError:
         raise DatasetError(f"{path}: invalid UTF-8 at line "
                            f"{_undecodable_line(path)}") from None
     except csv.Error as exc:    # a field over the csv module's size limit
         raise DatasetError(f"{path}: {exc}") from None
-    reject_non_finite(mat, path, [header[c] for c in cols])
+    reject_non_finite(mat, path, [header[c] for c in cols], lines)
     return header, mat
 
 
-def load_csv(path, target_column: str, task: str,
-             categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
-             kind_overrides: dict[str, str] | None = None) -> Dataset:
+def load_csv(path, target_column: str, task: str) -> Dataset:
     """Load a header-row CSV of reals into a Dataset.
 
     Every cell must parse as a finite real (categoricals pre-coded);
     missing, unparseable or non-finite cells are rejected with the
     offending row and column named (see `read_csv`).
     """
-    kind_overrides = kind_overrides or {}
     if task not in TASKS:
         raise DatasetError(f"unknown task {task!r}")
 
@@ -278,9 +288,7 @@ def load_csv(path, target_column: str, task: str,
     targets = mat[:, t_idx]
     rows = np.delete(mat, t_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != t_idx]
-    specs = [infer_spec(name, rows[:, j], categorical_threshold,
-                        kind_overrides.get(name))
-             for j, name in enumerate(names)]
+    specs = [infer_spec(name, rows[:, j]) for j, name in enumerate(names)]
     return Dataset(rows=rows, targets=targets, specs=specs, task=task)
 
 
@@ -315,12 +323,9 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     return train, test
 
 
-def batches(data, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
-    """Index slices for one epoch: a fresh (seed, epoch) permutation, chunked.
-
-    `data` may be a Dataset or a plain row count.
-    """
-    n = data if isinstance(data, int) else data.n
+def batches(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
+    """Index slices of n rows for one epoch: a fresh (seed, epoch)
+    permutation, chunked."""
     if batch_size < 1:
         raise DatasetError(f"batch_size must be >= 1, got {batch_size}")
     perm = np.random.default_rng([seed, epoch]).permutation(n)

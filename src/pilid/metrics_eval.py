@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pilid.dataset import Dataset, REGRESSION, CLASSIFICATION, split
+from pilid.dataset import Dataset, CLASSIFICATION, split
 from pilid.synth import SyntheticSpec, generate
 from pilid import trainer, pilib
 
@@ -53,6 +53,15 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     ranks = _tie_averaged_ranks(scores)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2)
                  / (n_pos * n_neg))
+
+
+def evaluate(model, data: Dataset) -> tuple[str, float]:
+    """The model's metric on labelled data, by name: the AUC of the scores
+    for classification, the MSE of the predictions for regression."""
+    scores, preds = trainer.model_forward(model, data.rows)
+    if data.task == CLASSIFICATION:
+        return "auc", auc(scores, data.targets)
+    return "mse", mse(preds, data.targets)
 
 
 @dataclass
@@ -110,10 +119,7 @@ def _run_one_trial(config: ExperimentConfig, seed: int) -> float:
                                  pl_init=config.pl_init)
     else:
         raise MetricsError(f"unknown model kind {config.model!r}")
-    scores, preds = trainer.model_forward(model, test_set.rows)
-    if test_set.task == CLASSIFICATION:
-        return auc(scores, test_set.targets)
-    return mse(preds, test_set.targets)
+    return evaluate(model, test_set)[1]
 
 
 def run_trials(config: ExperimentConfig, n_trials: int) -> TrialReport:

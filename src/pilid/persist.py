@@ -187,7 +187,14 @@ def load(path) -> PilidModel:
     if hashlib.sha256(payload.encode()).hexdigest() != stored:
         raise PersistError(f"{path}: checksum mismatch (corrupt or truncated)")
 
-    r = _Reader(lines[2:])
+    try:
+        return _read_model(_Reader(lines[2:]))
+    except ValueError as exc:   # a PersistError, or a count that is no int
+        raise PersistError(f"{path}: {exc}") from None
+
+
+def _read_model(r: _Reader) -> PilidModel:
+    """The model that a checked payload describes, in either layout."""
     variant = r.next("variant")[0]
     task = r.next("task")[0]
     m = int(r.next("features")[0])
@@ -217,7 +224,7 @@ def load(path) -> PilidModel:
         return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
                           feature_names=names)
     if variant != "pilib":
-        raise PersistError(f"{path}: unknown variant {variant!r}")
+        raise PersistError(f"unknown variant {variant!r}")
     B = int(r.next("blocks")[0])
     blocks = [_read_mlp(r, f"blk{i}") for i in range(B)]
     gm = r.next("gates.meta", 5)
@@ -282,6 +289,15 @@ def _shape_svg(shape, width=480, height=320, margin=48) -> str:
         f'</svg>\n')
 
 
+def write_shapes_csv(shapes, path) -> None:
+    """Curves as feature,point_index,x,u rows, one per curve point."""
+    lines = ["feature,point_index,x,u"]
+    for s in shapes:
+        for k, (x, u) in enumerate(zip(s.xs, s.us)):
+            lines.append(f"{s.feature},{k},{float(x)!r},{float(u)!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def export_shapes(model, out_dir, svg: bool = False, anchor: str = "zero",
                   train_rows=None) -> Path:
     """Emit shapes.csv (feature,point_index,x,u) and optionally one SVG
@@ -292,12 +308,8 @@ def export_shapes(model, out_dir, svg: bool = False, anchor: str = "zero",
     out_dir.mkdir(parents=True, exist_ok=True)
     shapes = extract_shapes(model.pl, model.points, anchor=anchor,
                             train_rows=train_rows, names=model.feature_names)
-    lines = ["feature,point_index,x,u"]
-    for s in shapes:
-        for k, (x, u) in enumerate(zip(s.xs, s.us)):
-            lines.append(f"{s.feature},{k},{float(x)!r},{float(u)!r}")
     csv_path = out_dir / "shapes.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_shapes_csv(shapes, csv_path)
     if svg:
         for s in shapes:
             (out_dir / f"shape_{s.feature}.svg").write_text(

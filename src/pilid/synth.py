@@ -19,7 +19,7 @@ TRUTH_GRID = 101
 # unit-range marginals the raw utility is too flat for labels to be
 # learnable (optimal AUC ~0.70 at m=10); 2.5 brings the attainable AUC
 # into the 0.85-0.90 band.
-DEFAULT_LOGIT_SCALE = 2.5
+LOGIT_SCALE = 2.5
 
 
 class SynthError(ValueError):
@@ -36,7 +36,6 @@ class SyntheticSpec:
     poly_coeffs: np.ndarray | None = None       # (m, 11), low degree first
     interactions: list[tuple[tuple[int, int], float]] | None = None
     n_interactions: int | None = None           # default floor(m / 5)
-    logit_scale: float = DEFAULT_LOGIT_SCALE
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -117,7 +116,7 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, list[FeatureShape]]:
         targets = (utility - utility.mean()) / (std if std > 0 else 1.0)
         task = REGRESSION
     elif spec.task == CLASSIFICATION:
-        p = 1.0 / (1.0 + np.exp(-spec.logit_scale * (utility - utility.mean())))
+        p = 1.0 / (1.0 + np.exp(-LOGIT_SCALE * (utility - utility.mean())))
         targets = rng.binomial(1, p).astype(np.float64)
         task = CLASSIFICATION
     else:

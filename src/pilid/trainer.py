@@ -63,9 +63,6 @@ class TrainConfig:
     sigma: float = 0.05
     ridge: float = 1e-8
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -145,14 +142,18 @@ class PilidModel:
         return self.gates is not None and self.hard_gates is None
 
 
+# Kingma & Ba's defaults (arXiv:1412.6980), used by every run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction over a dict of named arrays."""
 
     def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
-        self.beta1, self.beta2 = config.beta1, config.beta2
-        self.eps = config.epsilon
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -164,11 +165,11 @@ class Adam:
             if g.shape != p.shape:
                 raise TrainingError(f"gradient shape mismatch for {k}: "
                                     f"{g.shape} vs {p.shape}")
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[k] / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[k] / (1 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[k] / (1 - ADAM_BETA2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def sigmoid(z):

@@ -103,11 +103,6 @@ class TestLoadCsv:
         data = load_csv(p, "y", "regression")
         np.testing.assert_allclose(data.rows[:, 0], [0.9, 0.1, 0.5])
 
-    def test_kind_override(self, tmp_path):
-        p = write_csv(tmp_path, "a,y\n0,1\n1,2\n2,3\n")
-        data = load_csv(p, "y", "regression", kind_overrides={"a": "numerical"})
-        assert data.specs[0].kind == "numerical"
-
 
 class TestSplit:
     def test_sizes_and_determinism(self):

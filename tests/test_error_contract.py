@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pilid import metrics_eval
 from pilid.cli import main
 
 N_ROWS = 30
@@ -200,3 +201,46 @@ class TestPredictReader:
             saved, "id,x2,x1\nfirst,0.2,0.1\nsecond,0.4,0.3\n", tmp_path)
         assert code == 0
         assert with_id.read_bytes() == plain.read_bytes()
+
+
+class TestTrialsConfig:
+    """A trials config sets the `pilid` flags by name, `_` or `-`; any other
+    key or a bad value ends in one error line naming the file and key."""
+
+    @pytest.mark.parametrize("line,key", [
+        ("task = regression", "--task"),
+        ("learning_rate = 1", "--learning-rate"),
+        ("activation = tanh", "--activation"),
+        ("epochs = abc", "--epochs"),
+        ("epoch = 3", "--epoch="),
+        ("max-order = x", "--max-order"),
+        ("model = deep", "--model"),
+        ("lr = -1", "learning_rate"),
+        ("m = 0", "m >= 1"),
+    ])
+    def test_bad_key_or_value(self, tmp_path, line, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"m = 3\nn = 400\nepochs = 1\n{line}\n")
+        report = tmp_path / "r.csv"
+        code, err, caught = run("trials", "--config", cfg, "--report", report)
+        assert_one_error_naming(cfg, code, err, caught)
+        assert key in err, err
+        assert not report.exists()
+
+    def test_key_in_either_spelling(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(exp, n_trials):
+            seen.append(exp)
+            return metrics_eval.TrialReport(values=[0.0], mean=0.0, std=0.0,
+                                            seeds=[1], fingerprint="")
+
+        monkeypatch.setattr(metrics_eval, "run_trials", record)
+        cfg = tmp_path / "exp.cfg"
+        for key in ("max-order", "max_order"):
+            cfg.write_text(f"model = pilib\n{key} = 1\n")
+            code, err, _ = run("trials", "--config", cfg,
+                               "--report", tmp_path / "r.csv")
+            assert code == 0, err
+        assert [(e.max_order, e.model) for e in seen] == [(1, "pilib")] * 2
+        assert (seen[0].synth.m, seen[0].synth.n) == (10, 20000)

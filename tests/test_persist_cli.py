@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -178,8 +179,22 @@ class TestValuelessKeys:
             key = payload[i].split()[0]
             write_payload(path, payload[:i] + [key] + payload[i + 1:])
             with pytest.raises(PersistError,
-                               match=f"malformed model file: expected '{key}'"):
+                               match=f"^{re.escape(str(path))}: malformed "
+                                     f"model file: expected '{key}'"):
                 load(path)
+
+    @pytest.mark.parametrize("payload", [
+        ["variant pilid", "task regression", "features abc"],
+        ["variant pilib", "task regression", "features 1", "name 0 a",
+         "points 0 knots 0x0p+0 0x1p+0", "pl none", "blocks x"],
+    ])
+    def test_count_that_is_no_integer_names_the_file(self, payload,
+                                                     tmp_path):
+        path = tmp_path / "model.plm"
+        write_payload(path, payload)
+        with pytest.raises(PersistError, match=f"^{re.escape(str(path))}: "
+                                               "invalid literal for int"):
+            load(path)
 
     @pytest.mark.parametrize("variant", ["pilid", "pilib"])
     @pytest.mark.parametrize("edit", ["one value removed", "one value added"])
@@ -217,8 +232,9 @@ class TestValuelessKeys:
         assert main(["predict", "--model", str(model_path),
                      "--data", str(synth_csv)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("pilid: error: malformed model file: expected "
-                              "'variant'") and err.count("\n") == 1
+        assert err.startswith(f"pilid: error: {model_path}: malformed model "
+                              "file: expected 'variant'") \
+            and err.count("\n") == 1
 
 
 class TestOneModelLayouts:

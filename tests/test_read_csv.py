@@ -156,6 +156,30 @@ class TestReaderErrors:
         with pytest.raises(DatasetError, match=f"{path}: field larger"):
             read_csv(path)
 
+    @pytest.mark.parametrize("text,message", [
+        # a header over lines 1-2: numpy's parser reads the nan, the scan
+        # names the bad cell
+        ('"a\nb",y\n1,2\nnan,3\n',
+         "non-finite value 'nan' at line 4, column 'a\\nb'"),
+        ('"a\nb",y\n1,2\nabc,3\n',
+         "cannot parse 'abc' at line 4, column 'a\\nb'"),
+        # a data row over lines 2-3
+        ('a,y\n"1\n",2\nnan,3\n', "non-finite value 'nan' at line 4, "
+                                   "column 'a'"),
+        ('a,y\n"1\n",2\nabc,3\n', "cannot parse 'abc' at line 4, "
+                                   "column 'a'"),
+        ('a,y\n1,2\n"x\ny",3\n', "cannot parse 'x\\ny' at line 3, "
+                                  "column 'a'"),
+    ])
+    def test_line_numbers_count_lines_not_rows(self, tmp_path, text,
+                                               message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DatasetError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+        assert outcome(path) == scan_outcome(path)
+
     def test_header_only_file_has_no_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n")
