@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -13,6 +14,46 @@ from pilid import dataset, metrics_eval, persist, pilib, synth, trainer
 
 class CliError(RuntimeError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error, such as a flag's value out of its range, ends in one
+    `pilid: error:` line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"pilid: error: {message}\n")
+
+
+def _ranged(kind, low, *, open_low=False, high=None):
+    """An argparse `type` reading a finite `kind` value >= low (> low with
+    open_low) and, given high, <= high.  The `_add_*_flags` helpers give
+    each flag its range this way, so every command that takes the flag
+    rejects a bad value before doing any work."""
+    bound = (f"{'>' if open_low else '>='} {low}" if high is None else
+             f"in {'(' if open_low else '['}{low}, {high}]")
+    what = "an integer" if kind is int else "a number"
+
+    def check(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > low if open_low else
+                                          value >= low)
+                and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(
+                f"expected {what} {bound}, got {text!r}")
+        return value
+    return check
+
+
+def _architecture(text):
+    """An argparse `type` for `--mlp`: the text, once it parses."""
+    try:
+        trainer.parse_widths(text)
+    except trainer.TrainingError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _task(flag: str) -> str:
@@ -35,24 +76,28 @@ def _add_file_flags(p):
 
 
 def _add_seed_flag(p):
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_ranged(int, 0), default=1)
 
 
 def _add_train_flags(p):
-    p.add_argument("--split", type=float, default=0.8,
+    p.add_argument("--split", type=_ranged(float, 0, open_low=True, high=1),
+                   default=0.8,
                    help="train fraction (1.0 trains on everything)")
     _add_seed_flag(p)
-    p.add_argument("--gammas", type=int, default=5,
+    p.add_argument("--gammas", type=_ranged(int, 1), default=5,
                    help="sub-intervals per numerical feature")
-    p.add_argument("--mlp", default="32-32-1", help="architecture, e.g. "
-                   "100-200-400-400-200-100-1")
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
+    p.add_argument("--mlp", type=_architecture, default="32-32-1",
+                   help="architecture, e.g. 100-200-400-400-200-100-1")
+    p.add_argument("--lr", type=_ranged(float, 0, open_low=True),
+                   default=0.005)
+    p.add_argument("--epochs", type=_ranged(int, 1), default=100)
+    p.add_argument("--batch", type=_ranged(int, 1), default=256)
+    p.add_argument("--lambda", dest="lam", type=_ranged(float, 0),
+                   default=1e-4)
     p.add_argument("--reg", choices=("l1", "l2", "none"), default="l2")
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--sigma", type=_ranged(float, 0, open_low=True),
+                   default=0.05)
+    p.add_argument("--ridge", type=_ranged(float, 0), default=1e-8)
 
 
 def _add_pl_init_flag(p):
@@ -61,26 +106,27 @@ def _add_pl_init_flag(p):
 
 
 def _add_pilib_flags(p):
-    p.add_argument("--blocks", type=int, default=20)
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--lambda0", type=float, default=0.1)
+    p.add_argument("--blocks", type=_ranged(int, 1), default=20)
+    p.add_argument("--max-order", type=_ranged(int, 1), default=3)
+    p.add_argument("--lambda0", type=_ranged(float, 0), default=0.1)
 
 
 def _add_synth_flags(p, required: bool):
     """The generator's flags.  `synth` requires the size; a trials config
-    may leave it at the defaults."""
+    may leave it at the defaults.  SyntheticSpec checks m and n, and the
+    number of interactions against m."""
     p.add_argument("--m", type=int, required=required, default=10,
                    help="features")
     p.add_argument("--n", type=int, required=required, default=20000,
                    help="rows")
     _add_task_flag(p)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--interactions", type=int, default=None)
+    p.add_argument("--noise", type=_ranged(float, 0), default=0.1)
+    p.add_argument("--interactions", type=_ranged(int, 0), default=None)
 
 
 def _load_training_data(args):
     data = dataset.load_csv(args.data, args.target, _task(args.task))
-    if args.split >= 1.0:
+    if args.split == 1.0:
         return data
     train_set, _ = dataset.split(data, args.split, args.seed)
     return train_set
@@ -224,7 +270,11 @@ def _config_flags(path) -> list[str]:
 
 
 def _cmd_trials(args) -> int:
-    cfg = _ConfigParser(args.config).parse_args(_config_flags(args.config))
+    parser = _ConfigParser(args.config)
+    cfg = parser.parse_args(_config_flags(args.config))
+    if cfg.split == 1.0:
+        parser.error("argument --split: a trial scores the held-out rows, "
+                     "so the split must be < 1")
     try:
         exp = metrics_eval.ExperimentConfig(
             synth=_synthetic_spec(cfg), gammas=cfg.gammas, mlp_widths=cfg.mlp,
@@ -264,7 +314,7 @@ def _cmd_export_interactions(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pilid",
         description="Train and inspect hybrid piecewise-linear + deep models")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trials", help="repeated-seed synthetic experiment")
     p.add_argument("--config", required=True, help="key = value config file")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_ranged(int, 1), default=5)
     p.add_argument("--report", required=True, help="report CSV path")
     p.set_defaults(func=_cmd_trials)
 

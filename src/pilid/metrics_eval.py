@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pilid.dataset import Dataset, CLASSIFICATION, split
-from pilid.synth import SyntheticSpec, generate
+from pilid.pl_component import extract_shapes
+from pilid.synth import (SyntheticSpec, generate, planted_interactions,
+                         shape_recovery_score)
 from pilid import trainer, pilib
 
 
@@ -85,6 +87,24 @@ class ExperimentConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
+# Per-trial columns of the report after `value`; a cell is empty where
+# the model kind has no such figure (see _run_one_trial).
+DETAIL_COLUMNS = ("shape_min", "shape_mean", "planted", "active_sets",
+                  "pair_coverage", "phase1_epochs", "capped")
+
+
+def _cell(value) -> str:
+    """One report cell: floats as repr, flags as 0/1, feature sets as
+    0-based ids joined by spaces with `;` between sets."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, list):
+        return ";".join(" ".join(str(j) for j in s) for s in value)
+    return repr(value)
+
+
 @dataclass
 class TrialReport:
     values: list[float]
@@ -93,33 +113,53 @@ class TrialReport:
     seeds: list[int]
     fingerprint: str
     degenerate_std: bool = False
+    details: list[dict] = field(default_factory=list)  # per trial, by column
 
     def to_csv(self) -> str:
-        lines = ["trial,seed,value"]
+        pad = "," * len(DETAIL_COLUMNS)
+        lines = [",".join(("trial", "seed", "value") + DETAIL_COLUMNS)]
         for t, (s, v) in enumerate(zip(self.seeds, self.values)):
-            lines.append(f"{t},{s},{v!r}")
-        lines.append(f"mean,,{self.mean!r}")
-        lines.append(f"std,,{self.std!r}")
+            d = self.details[t] if self.details else {}
+            lines.append(",".join([str(t), str(s), repr(v)]
+                                  + [_cell(d.get(c)) for c in DETAIL_COLUMNS]))
+        lines.append(f"mean,,{self.mean!r}{pad}")
+        lines.append(f"std,,{self.std!r}{pad}")
         return "\n".join(lines) + "\n"
 
 
-def _run_one_trial(config: ExperimentConfig, seed: int) -> float:
+def _run_one_trial(config: ExperimentConfig, seed: int) -> tuple[float, dict]:
+    """The held-out metric of one trial, and its report details: the shape
+    recovery of the wide component's curves against the generator's
+    marginals, and for PiLiB the planted pairs and the blocks' active sets."""
     import dataclasses
     sspec = dataclasses.replace(config.synth, seed=seed)
-    data, _ = generate(sspec)
+    data, truth = generate(sspec)
     train_set, test_set = split(data, config.train_fraction, seed)
     tcfg = dataclasses.replace(config.train, seed=seed)
+    details = {}
     if config.model == "pilib":
-        model, _ = pilib.train_pilib(train_set, config.gammas,
-                                     config.mlp_widths, config.blocks,
-                                     config.max_order, config.lambda0, tcfg)
+        model, diag = pilib.train_pilib(train_set, config.gammas,
+                                        config.mlp_widths, config.blocks,
+                                        config.max_order, config.lambda0, tcfg)
+        planted = [pair for pair, _ in planted_interactions(sspec)]
+        active = [[int(j) for j in s] for s in diag["active_sets"]]
+        covered = [any(set(p) <= set(s) for s in active) for p in planted]
+        details.update(
+            planted=planted, active_sets=active,
+            pair_coverage=float(np.mean(covered)) if planted else None,
+            phase1_epochs=len(diag["phase1_trace"]), capped=diag["capped"])
     elif config.model in ("pilid", "mlp"):
         model, _ = trainer.train(train_set, config.gammas, config.mlp_widths,
                                  tcfg, mlp_only=config.model == "mlp",
                                  pl_init=config.pl_init)
     else:
         raise MetricsError(f"unknown model kind {config.model!r}")
-    return evaluate(model, test_set)[1]
+    if model.pl is not None:
+        scores = [shape_recovery_score(s, t) for s, t in
+                  zip(extract_shapes(model.pl, model.points), truth)]
+        details.update(shape_min=float(np.min(scores)),
+                       shape_mean=float(np.mean(scores)))
+    return evaluate(model, test_set)[1], details
 
 
 def run_trials(config: ExperimentConfig, n_trials: int) -> TrialReport:
@@ -128,12 +168,10 @@ def run_trials(config: ExperimentConfig, n_trials: int) -> TrialReport:
     if n_trials < 1:
         raise MetricsError("n_trials must be >= 1")
     seeds = [config.base_seed + t for t in range(n_trials)]
-    values = [_run_one_trial(config, s) for s in seeds]
-    mean = float(np.mean(values))
-    if n_trials == 1:
-        return TrialReport(values=values, mean=mean, std=0.0, seeds=seeds,
-                           fingerprint=config.fingerprint(),
-                           degenerate_std=True)
-    return TrialReport(values=values, mean=mean,
-                       std=float(np.std(values, ddof=1)), seeds=seeds,
-                       fingerprint=config.fingerprint())
+    trials = [_run_one_trial(config, s) for s in seeds]
+    values = [value for value, _ in trials]
+    details = [d for _, d in trials]
+    std = float(np.std(values, ddof=1)) if n_trials > 1 else 0.0
+    return TrialReport(values=values, mean=float(np.mean(values)), std=std,
+                       seeds=seeds, fingerprint=config.fingerprint(),
+                       degenerate_std=n_trials == 1, details=details)

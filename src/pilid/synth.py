@@ -47,6 +47,12 @@ class SyntheticSpec:
             if self.poly_coeffs.shape != (self.m, POLY_DEGREE + 1):
                 raise SynthError(
                     f"poly_coeffs must be (m, {POLY_DEGREE + 1})")
+        if self.interactions is None and self.n_interactions is not None:
+            most = self.m * (self.m - 1) // 2
+            if not 0 <= self.n_interactions <= most:
+                raise SynthError(
+                    f"cannot plant {self.n_interactions} interactions among "
+                    f"m={self.m} features (0 to {most})")
 
 
 def _normalize_poly(coeffs: np.ndarray):
@@ -70,16 +76,9 @@ def _marginal(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(x, coeffs)
 
 
-def generate(spec: SyntheticSpec) -> tuple[Dataset, list[FeatureShape]]:
-    """Generate a Dataset plus the true marginal curves (101 points each).
-
-    Coefficients are uniform in [-1, 1]; each marginal is centered to mean
-    zero over [0, 1] and scaled to unit range; features are iid uniform;
-    interactions add c * x_a * x_b terms.  Regression targets are the
-    standardized utility; classification labels are Bernoulli draws on the
-    sigmoid of the (scaled) centered utility.
-    """
-    rng = np.random.default_rng(spec.seed)
+def _draw_model(spec: SyntheticSpec, rng: np.random.Generator):
+    """The normalized marginal coefficients and the planted interactions
+    [((a, b), c), ...] of `spec`, drawn from `rng` before the rows are."""
     if spec.poly_coeffs is None:
         raw = rng.uniform(-1.0, 1.0, (spec.m, POLY_DEGREE + 1))
     else:
@@ -90,8 +89,6 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, list[FeatureShape]]:
         k = spec.n_interactions if spec.n_interactions is not None \
             else spec.m // 5
         pairs = list(combinations(range(spec.m), 2))
-        if k > len(pairs):
-            raise SynthError(f"cannot plant {k} interactions with m={spec.m}")
         chosen = rng.choice(len(pairs), size=k, replace=False) if k else []
         interactions = [(pairs[int(i)], float(rng.uniform(-1.0, 1.0)))
                         for i in chosen]
@@ -101,6 +98,27 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, list[FeatureShape]]:
         for (a, b), _ in interactions:
             if not (0 <= a < spec.m and 0 <= b < spec.m and a != b):
                 raise SynthError(f"invalid interaction pair ({a}, {b})")
+    return coeffs, interactions
+
+
+def planted_interactions(
+        spec: SyntheticSpec) -> list[tuple[tuple[int, int], float]]:
+    """The interactions [((a, b), c), ...] that `generate(spec)` plants:
+    one term c * x_a * x_b each, a and b 0-based feature indices."""
+    return _draw_model(spec, np.random.default_rng(spec.seed))[1]
+
+
+def generate(spec: SyntheticSpec) -> tuple[Dataset, list[FeatureShape]]:
+    """Generate a Dataset plus the true marginal curves (101 points each).
+
+    Coefficients are uniform in [-1, 1]; each marginal is centered to mean
+    zero over [0, 1] and scaled to unit range; features are iid uniform;
+    interactions add c * x_a * x_b terms (see planted_interactions).
+    Regression targets are the standardized utility; classification labels
+    are Bernoulli draws on the sigmoid of the (scaled) centered utility.
+    """
+    rng = np.random.default_rng(spec.seed)
+    coeffs, interactions = _draw_model(spec, rng)
 
     X = rng.uniform(0.0, 1.0, (spec.n, spec.m))
     utility = np.zeros(spec.n)

@@ -409,7 +409,7 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     return total, grads
 
 
-def _parse_widths(spec) -> list[int]:
+def parse_widths(spec) -> list[int]:
     """Hidden widths from an architecture string such as "32-32-1" or a
     list of ints; a trailing output width of 1 is implicit."""
     if isinstance(spec, str):
@@ -438,7 +438,7 @@ def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     (PiLiD), or, given B, B blocks with gate logits under order cap K and
     pairwise pressure lambda0 (PiLiB)."""
     points = build_points(data, gammas)
-    hidden = _parse_widths(mlp_widths)
+    hidden = parse_widths(mlp_widths)
     streams = [[config.seed, 1]] if B is None else \
         [[config.seed, 100 + i] for i in range(B)]
     blocks = [init_gaussian([data.m] + hidden, config.sigma, s)

@@ -6,10 +6,11 @@ import io
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilid import metrics_eval
+from pilid import dataset, metrics_eval, persist, trainer
 from pilid.cli import main
 
 N_ROWS = 30
@@ -205,7 +206,8 @@ class TestPredictReader:
 
 class TestTrialsConfig:
     """A trials config sets the `pilid` flags by name, `_` or `-`; any other
-    key or a bad value ends in one error line naming the file and key."""
+    key or a bad value ends, before the first trial, in one error line
+    naming the file and key."""
 
     @pytest.mark.parametrize("line,key", [
         ("task = regression", "--task"),
@@ -215,8 +217,16 @@ class TestTrialsConfig:
         ("epoch = 3", "--epoch="),
         ("max-order = x", "--max-order"),
         ("model = deep", "--model"),
-        ("lr = -1", "learning_rate"),
+        ("lr = -1", "--lr: expected a number > 0"),
         ("m = 0", "m >= 1"),
+        ("split = 1.5", "--split: expected a number in (0, 1]"),
+        ("split = 1.0", "--split: a trial scores the held-out rows"),
+        ("gammas = 0", "--gammas: expected an integer >= 1"),
+        ("mlp = abc", "--mlp: bad architecture string 'abc'"),
+        ("sigma = 0", "--sigma: expected a number > 0"),
+        ("ridge = -1", "--ridge: expected a number >= 0"),
+        ("interactions = 99", "cannot plant 99 interactions"),
+        ("model = pilib\nblocks = 0", "--blocks: expected an integer >= 1"),
     ])
     def test_bad_key_or_value(self, tmp_path, line, key):
         cfg = tmp_path / "exp.cfg"
@@ -244,3 +254,42 @@ class TestTrialsConfig:
             assert code == 0, err
         assert [(e.max_order, e.model) for e in seen] == [(1, "pilib")] * 2
         assert (seen[0].synth.m, seen[0].synth.n) == (10, 20000)
+
+
+class TestFlagRanges:
+    """A flag's value out of its range ends in one `pilid: error:` line
+    that names the flag, before any file is read or written."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["train", "--split", "1.5"], "--split"),
+        (["train", "--split", "0"], "--split"),
+        (["train", "--lr", "0"], "--lr"),
+        (["train", "--mlp", "8-0-1"], "--mlp"),
+        (["train-pilib", "--blocks", "0"], "--blocks"),
+        (["train-pilib", "--lambda0", "-1"], "--lambda0"),
+        (["synth", "--m", "3", "--n", "10", "--interactions", "-1"],
+         "--interactions"),
+        (["synth", "--m", "3", "--n", "10", "--noise", "nan"], "--noise"),
+    ])
+    def test_rejected_naming_the_flag(self, tmp_path, argv, flag):
+        out = tmp_path / "out"
+        if argv[0] != "synth":
+            argv = argv + ["--data", tmp_path / "missing.csv",
+                           "--target", "y"]
+        code, err, caught = run(*argv, "--out", out)
+        assert code == 2
+        assert err.startswith(f"pilid: error: argument {flag}: ") \
+            and err.count("\n") == 1, err
+        assert caught == [] and not out.exists()
+
+    def test_split_one_trains_on_every_row(self, saved, tmp_path):
+        _, data, _, _ = saved
+        model = tmp_path / "all.plm"
+        assert run("train", "--data", data, "--target", "y", "--epochs", 1,
+                   "--mlp", "4-1", "--split", "1.0", "--out", model)[0] == 0
+        full = dataset.load_csv(data, "y", dataset.REGRESSION)
+        expected, _ = trainer.train(full, 5, "4-1",
+                                    trainer.TrainConfig(epochs=1, seed=1))
+        assert np.array_equal(trainer.model_forward(expected, full.rows)[1],
+                              trainer.model_forward(persist.load(model),
+                                                    full.rows)[1])

@@ -161,6 +161,7 @@ class TestRunTrials:
         report = run_trials(small_config(), 2)
         text = report.to_csv()
         lines = text.strip().splitlines()
-        assert lines[0] == "trial,seed,value"
+        assert lines[0] == ("trial,seed,value,shape_min,shape_mean,planted,"
+                            "active_sets,pair_coverage,phase1_epochs,capped")
         assert float(lines[1].split(",")[2]) == report.values[0]
         assert text.endswith("\n")

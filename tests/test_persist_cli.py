@@ -527,7 +527,9 @@ class TestCli:
         assert run_cli("trials", "--config", str(cfg), "--trials", "2",
                        "--report", str(report)) == 0
         lines = report.read_text().strip().splitlines()
-        assert lines[0] == "trial,seed,value"
+        assert lines[0] == ("trial,seed,value,shape_min,shape_mean,"
+                            "planted,active_sets,pair_coverage,"
+                            "phase1_epochs,capped")
         assert lines[-1].startswith("std,")
         assert "mean" in capsys.readouterr().out
 

@@ -6,6 +6,7 @@ from pilid.synth import (
     SynthError,
     SyntheticSpec,
     generate,
+    planted_interactions,
     shape_recovery_score,
 )
 
@@ -114,6 +115,44 @@ class TestGenerate:
             generate(SyntheticSpec(m=2, n=10, n_interactions=5))
         with pytest.raises(SynthError):
             generate(SyntheticSpec(m=2, n=10, task="ranking"))
+
+    def test_negative_interaction_count_rejected(self):
+        with pytest.raises(SynthError, match="cannot plant -1 interactions"):
+            SyntheticSpec(m=3, n=10, n_interactions=-1)
+
+
+class TestPlantedInteractions:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_targets_are_the_planted_terms(self, seed):
+        """With zero marginals and no noise the targets are the
+        standardized sum of the planted terms alone."""
+        spec = SyntheticSpec(m=6, n=400, seed=seed, noise_std=0.0,
+                             poly_coeffs=np.zeros((6, 11)), n_interactions=3)
+        data, _ = generate(spec)
+        planted = planted_interactions(spec)
+        assert len({pair for pair, _ in planted}) == 3
+        X = data.rows
+        u = sum(c * X[:, a] * X[:, b] for (a, b), c in planted)
+        np.testing.assert_allclose(data.targets, (u - u.mean()) / u.std(),
+                                   rtol=0, atol=1e-12)
+
+    def test_planted_terms_with_drawn_marginals(self):
+        """The pairs are drawn after the marginals' coefficients; the
+        targets follow the true curves plus the planted terms."""
+        spec = SyntheticSpec(m=6, n=2000, seed=3, noise_std=0.0,
+                             n_interactions=3)
+        data, truth = generate(spec)
+        X = data.rows
+        u = sum(np.interp(X[:, t.feature], t.xs, t.us) for t in truth)
+        u = u + sum(c * X[:, a] * X[:, b]
+                    for (a, b), c in planted_interactions(spec))
+        assert np.corrcoef(u, data.targets)[0, 1] > 0.9999
+
+    def test_default_count_and_given_pairs(self):
+        assert len(planted_interactions(SyntheticSpec(m=10, n=5))) == 2
+        given = [((4, 1), 1.5)]
+        assert planted_interactions(
+            SyntheticSpec(m=5, n=5, interactions=given)) == given
 
 
 class TestRecoveryScore:
