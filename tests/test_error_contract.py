@@ -217,7 +217,8 @@ class TestTrialsConfig:
         ("epoch = 3", "--epoch="),
         ("max-order = x", "--max-order"),
         ("model = deep", "--model"),
-        ("lr = -1", "--lr: expected a number > 0"),
+        pytest.param("lr = -1", "--lr: expected a number > 0",
+                     id="lr = -1-learning_rate"),
         ("m = 0", "m >= 1"),
         ("split = 1.5", "--split: expected a number in (0, 1]"),
         ("split = 1.0", "--split: a trial scores the held-out rows"),
