@@ -283,6 +283,11 @@ def _cmd_trials(args) -> int:
             max_order=cfg.max_order, lambda0=cfg.lambda0)
     except (synth.SynthError, trainer.TrainingError) as exc:
         raise CliError(f"{args.config}: {exc}") from None
+    try:
+        dataset.train_size(cfg.n, cfg.split)
+    except dataset.DatasetError:
+        parser.error(f"n = {cfg.n} with split = {cfg.split} leaves no train "
+                     f"or no held-out row")
     report = metrics_eval.run_trials(exp, args.trials)
     Path(args.report).write_text(report.to_csv(), encoding="utf-8")
     print(f"{args.trials} trials: mean {report.mean:.6f} "

@@ -299,18 +299,25 @@ def _respec(data_rows: np.ndarray, specs: list[FeatureSpec]) -> list[FeatureSpec
             for j, s in enumerate(specs)]
 
 
+def train_size(n: int, train_fraction: float) -> int:
+    """How many of n rows `split` puts on the train side; both sides must
+    keep a row."""
+    if not 0.0 < train_fraction < 1.0:
+        raise DatasetError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    n_train = int(n * train_fraction)
+    if n_train == 0 or n_train == n:
+        raise DatasetError(
+            f"split fraction {train_fraction} leaves an empty side for N={n}")
+    return n_train
+
+
 def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled partition into (train, test).
 
     Feature statistics of BOTH halves are recomputed on the train half so
     downstream encoding never leaks test-set scale information.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DatasetError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n_train = int(data.n * train_fraction)
-    if n_train == 0 or n_train == data.n:
-        raise DatasetError(
-            f"split fraction {train_fraction} leaves an empty side for N={data.n}")
+    n_train = train_size(data.n, train_fraction)
     perm = np.random.default_rng(seed).permutation(data.n)
     tr, te = perm[:n_train], perm[n_train:]
     train_rows = data.rows[tr]

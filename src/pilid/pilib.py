@@ -28,7 +28,7 @@ from pilid.trainer import (
     init_model,
     loss_and_grads,
     model_forward,
-    param_arrays,
+    pack,
     train_epoch,
 )
 
@@ -82,7 +82,7 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
                        activation=activation, B=B, K=K, lambda0=lambda0)
 
     # phase 1: learn gates under the order penalty
-    optimizer = Adam(param_arrays(model), config)
+    optimizer = Adam(pack(model).flat, config)
     phase1_trace: list[float] = []
     capped = True
     for epoch in range(PHASE1_EPOCH_CAP):
@@ -98,9 +98,10 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
         warnings.warn(f"phase 1 hit the {PHASE1_EPOCH_CAP}-epoch cap without "
                       f"satisfying max order <= {K}")
 
-    # phase 2: freeze hardened gates, fine-tune everything else
+    # phase 2: freeze hardened gates, fine-tune everything else, packed
+    # anew without the gate logits
     model.hard_gates = gate_values(model.gates, "eval")
-    optimizer = Adam(param_arrays(model), config)
+    optimizer = Adam(pack(model).flat, config)
     phase2_trace = [train_epoch(model, data, config, optimizer, 10_000 + epoch,
                                 f"phase 2, epoch {epoch + 1}")
                     for epoch in range(config.epochs)]

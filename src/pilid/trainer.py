@@ -11,15 +11,23 @@ on finite rows) and no order penalty.  PiLiB has B blocks whose gates are
 trainable logits, relaxed while they learn under the order penalty and
 then frozen to 0/1 (see pilib.train_pilib).  Every array is optimized
 jointly with mini-batch Adam, without the (N, gamma) encoding, through
-one loss/gradient function and one epoch loop.  The wide component starts
-from a least-squares fit so the optimizer begins in an interpretable
-region; the blocks start from small Gaussian weights.
+one loss/gradient function and one epoch loop.  Training first packs the
+trainable arrays into one float64 vector whose views the model's fields
+become (`pack`); the gradients come in the same layout, and Adam updates
+the vector in place.  The weights lead the layout, so the regulariser
+(on the wide weights while the gates are relaxed, otherwise on every
+weight, never on biases, omega, w0 or gate logits) acts on one leading
+slice.  The wide component starts from a least-squares fit so the
+optimizer begins in an interpretable region; the blocks start from small
+Gaussian weights.
 Prediction computes the same score from the shape curves (curve_forward)
 and the cache-free block outputs (mlp_predict), in fixed-size row blocks.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +130,9 @@ class PilidModel:
     gates: PilibGates | None = None
     hard_gates: np.ndarray | None = None    # (B, m) 0/1 rows
     train_means: np.ndarray | None = None   # reference values for surfaces
+    # the vector whose views the trainable fields are, once `pack` ran
+    packed: ParamVector | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if self.gates is None and self.hard_gates is None:
@@ -149,27 +160,38 @@ ADAM_EPSILON = 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction over a dict of named arrays."""
+    """Adam with bias correction over one flat parameter vector, updated in
+    place once per batch.  The moments and two scratch vectors are
+    allocated once, so a step allocates no array."""
 
-    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
+    def __init__(self, params: np.ndarray, config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
 
-    def step(self, grads: dict[str, np.ndarray]):
+    def step(self, grad: np.ndarray):
+        if grad.shape != self.params.shape:
+            raise TrainingError(f"gradient shape mismatch: {grad.shape} vs "
+                                f"{self.params.shape}")
         self.t += 1
-        for k, p in self.params.items():
-            g = grads[k]
-            if g.shape != p.shape:
-                raise TrainingError(f"gradient shape mismatch for {k}: "
-                                    f"{g.shape} vs {p.shape}")
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[k] / (1 - ADAM_BETA1 ** self.t)
-            v_hat = self.v[k] / (1 - ADAM_BETA2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        np.multiply(m, ADAM_BETA1, out=m)
+        m += np.multiply(grad, 1 - ADAM_BETA1, out=num)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(grad, 1 - ADAM_BETA2, out=num)
+        v += np.multiply(num, grad, out=num)
+        # p -= lr m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1 - ADAM_BETA1 ** self.t, out=num)
+        num *= self.lr
+        np.divide(v, 1 - ADAM_BETA2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPSILON
+        self.params -= np.divide(num, den, out=num)
 
 
 def sigmoid(z):
@@ -255,47 +277,90 @@ def _data_loss_and_grad(score: np.ndarray, y: np.ndarray, task: str):
     return loss, (sigmoid(score) - y) / n
 
 
-def _reg_value(arrays, lam: float, kind: str) -> float:
-    if lam == 0 or kind == "none":
-        return 0.0
-    if kind == "l2":
-        return lam * float(sum(np.sum(a * a) for a in arrays))
-    return lam * float(sum(np.sum(np.abs(a)) for a in arrays))
+class ParamVector(Mapping):
+    """Named arrays held as views into one float64 vector, `flat`, in the
+    order of `param_arrays`.  `spans` maps each name to its (start, shape);
+    the first `n_reg` values are the regularised weights."""
+
+    def __init__(self, flat: np.ndarray, spans: dict, n_reg: int,
+                 relaxed: bool):
+        self.flat, self.spans, self.n_reg = flat, spans, n_reg
+        self.relaxed = relaxed      # the gate state the layout was made for
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        start, shape = self.spans[name]
+        return self.flat[start:start + math.prod(shape)].reshape(shape)
+
+    def __iter__(self):
+        return iter(self.spans)
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def like(self, flat: np.ndarray) -> ParamVector:
+        """Another vector of this layout, such as a gradient."""
+        return ParamVector(flat, self.spans, self.n_reg, self.relaxed)
 
 
-def _reg_grad(a: np.ndarray, lam: float, kind: str) -> np.ndarray:
-    if lam == 0 or kind == "none":
-        return np.zeros_like(a)
-    return 2.0 * lam * a if kind == "l2" else lam * np.sign(a)
+def _slots(model: PilidModel):
+    """Where each trainable array lives, as (name, owner, key) in packed
+    order, and how many leading slots are regularised.  Weights come
+    first (the wide weights, then every block's layer and head weights),
+    then the biases, omega and w0, then the gate logits, which train only
+    while they are relaxed.  Only weights are regularised, and while the
+    gates are relaxed only the wide weights."""
+    weights, rest = [], []
+    if model.pl is not None:
+        weights.append(("pl.w", model.pl, "w"))
+        rest += [(f"pl.{k}", model.pl, k) for k in ("b", "omega", "w0")]
+    for i, blk in enumerate(model.blocks):
+        for l in range(len(blk.weights)):
+            weights.append((f"blk{i}.W{l}", blk.weights, l))
+            rest.append((f"blk{i}.b{l}", blk.biases, l))
+        weights.append((f"blk{i}.head_w", blk, "head_w"))
+        rest.append((f"blk{i}.head_b", blk, "head_b"))
+    if not model.gates_relaxed:
+        return weights + rest, len(weights)
+    rest.append(("gates.log_alpha", model.gates, "log_alpha"))
+    return weights + rest, int(model.pl is not None)
+
+
+def _get(owner, key):
+    return owner[key] if isinstance(key, int) else getattr(owner, key)
 
 
 def param_arrays(model: PilidModel) -> dict[str, np.ndarray]:
-    """Live references to every trainable array, keyed by stable names;
-    the gate logits are trainable only while they are relaxed."""
-    out: dict[str, np.ndarray] = {}
-    if model.pl is not None:
-        out.update({"pl.w": model.pl.w, "pl.b": model.pl.b,
-                    "pl.omega": model.pl.omega, "pl.w0": model.pl.w0})
-    for i, blk in enumerate(model.blocks):
-        for l, (W, b) in enumerate(zip(blk.weights, blk.biases)):
-            out[f"blk{i}.W{l}"] = W
-            out[f"blk{i}.b{l}"] = b
-        out[f"blk{i}.head_w"] = blk.head_w
-        out[f"blk{i}.head_b"] = blk.head_b
-    if model.gates_relaxed:
-        out["gates.log_alpha"] = model.gates.log_alpha
-    return out
+    """Live references to every trainable array, keyed by stable names, in
+    packed order; the gate logits are trainable only while they are
+    relaxed."""
+    return {name: _get(owner, key) for name, owner, key in _slots(model)[0]}
 
 
-def weight_names(model: PilidModel) -> list[str]:
-    # Regularization applies to weights only, never biases, omega or gate
-    # logits; while the gates are relaxed, to the wide weights only.
-    names = [] if model.pl is None else ["pl.w"]
-    if not model.gates_relaxed:
-        for i, blk in enumerate(model.blocks):
-            names += [f"blk{i}.W{l}" for l in range(len(blk.weights))]
-            names.append(f"blk{i}.head_w")
-    return names
+def _gather(model: PilidModel) -> ParamVector:
+    """A copy of every trainable array in one vector; the model keeps its
+    own arrays."""
+    slots, n_weights = _slots(model)
+    arrays = [_get(owner, key) for _, owner, key in slots]
+    starts = np.cumsum([0] + [a.size for a in arrays]).tolist()
+    spans = {name: (start, a.shape)
+             for (name, _, _), start, a in zip(slots, starts, arrays)}
+    return ParamVector(np.concatenate(arrays, axis=None), spans,
+                       starts[n_weights], model.gates_relaxed)
+
+
+def pack(model: PilidModel) -> ParamVector:
+    """Copy every trainable array into one float64 vector and rebind the
+    model's fields to views of it, so that updating the vector in place
+    updates the model.  Pack again when the gate state changes: PiLiB's
+    phase 2 drops the gate logits."""
+    params = _gather(model)
+    for name, owner, key in _slots(model)[0]:
+        if isinstance(key, int):
+            owner[key] = params[name]
+        else:
+            setattr(owner, key, params[name])
+    model.packed = params
+    return params
 
 
 def _finite_rows(X: np.ndarray) -> np.ndarray:
@@ -340,18 +405,6 @@ def model_forward(model: PilidModel, x: np.ndarray):
     return score, pred
 
 
-def loss(model: PilidModel, batch_x: np.ndarray, batch_y: np.ndarray,
-         config: TrainConfig) -> float:
-    """Mean data loss on the batch plus lambda * Omega over the weights."""
-    score, _ = model_forward(model, np.atleast_2d(batch_x))
-    data, _ = _data_loss_and_grad(score, np.asarray(batch_y, dtype=np.float64),
-                                  model.task)
-    params = param_arrays(model)
-    reg = _reg_value([params[k] for k in weight_names(model)], config.lam,
-                     config.reg)
-    return data + reg
-
-
 def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
                    config: TrainConfig):
     """Loss and exact gradients for every trainable array on one batch.
@@ -359,7 +412,9 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     While the gates are relaxed: data term + lambda*Omega(wide weights) +
     order penalty on the relaxed gate sums, with gradients flowing into
     the gate logits.  Otherwise: data term + lambda*Omega(all weights)
-    under the hard gates.
+    under the hard gates.  The gradients come as one ParamVector in the
+    layout of `param_arrays`; the regulariser acts on its leading slice.
+    A model that was never packed is read through a copy, not rebound.
     """
     X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
@@ -401,12 +456,18 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
                                         model.gates.lambda0)
         grads["gates.log_alpha"] = dG * _gate_grad_factor(model.gates)
 
-    params = param_arrays(model)
-    wn = weight_names(model)
-    total += _reg_value([params[k] for k in wn], config.lam, config.reg)
-    for k in wn:
-        grads[k] = grads[k] + _reg_grad(params[k], config.lam, config.reg)
-    return total, grads
+    params = model.packed
+    if params is None or params.relaxed != relaxed:
+        params = _gather(model)
+    grad = params.like(np.concatenate([grads[k] for k in params], axis=None))
+    w, g = params.flat[:params.n_reg], grad.flat[:params.n_reg]
+    if config.lam != 0 and config.reg == "l2":
+        total += config.lam * float(np.sum(w * w))
+        g += 2.0 * config.lam * w
+    elif config.lam != 0 and config.reg == "l1":
+        total += config.lam * float(np.sum(np.abs(w)))
+        g += config.lam * np.sign(w)
+    return total, grad
 
 
 def parse_widths(spec) -> list[int]:
@@ -481,7 +542,7 @@ def train_epoch(model: PilidModel, data: Dataset, config: TrainConfig,
             raise TrainingError(
                 f"non-finite loss in {label}; try a smaller learning rate "
                 f"(current {config.learning_rate})")
-        optimizer.step(grads)
+        optimizer.step(grads.flat)
         losses.append(value)
     return float(np.mean(losses))
 
@@ -497,7 +558,7 @@ def train(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     """
     model = init_model(data, gammas, mlp_widths, config, mlp_only=mlp_only,
                        pl_init=pl_init, activation=activation)
-    optimizer = Adam(param_arrays(model), config)
+    optimizer = Adam(pack(model).flat, config)
     trace = [train_epoch(model, data, config, optimizer, epoch,
                          f"epoch {epoch + 1}")
              for epoch in range(config.epochs)]

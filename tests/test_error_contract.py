@@ -228,6 +228,7 @@ class TestTrialsConfig:
         ("ridge = -1", "--ridge: expected a number >= 0"),
         ("interactions = 99", "cannot plant 99 interactions"),
         ("model = pilib\nblocks = 0", "--blocks: expected an integer >= 1"),
+        ("n = 1", "n = 1 with split = 0.8 leaves no train or no held-out"),
     ])
     def test_bad_key_or_value(self, tmp_path, line, key):
         cfg = tmp_path / "exp.cfg"

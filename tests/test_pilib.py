@@ -16,6 +16,7 @@ from pilid.trainer import (
     model_forward,
     param_arrays,
 )
+from pilid import pilib
 from pilid.pilib import (
     active_feature_sets,
     estimated_orders,
@@ -263,6 +264,27 @@ class TestTraining:
         assert d1["phase1_trace"] == d2["phase1_trace"]
         assert d1["phase2_trace"] == d2["phase2_trace"]
         np.testing.assert_array_equal(m1.hard_gates, m2.hard_gates)
+
+    def test_phase_two_never_moves_gate_logits(self, monkeypatch):
+        # phase 2 packs a new vector without the logits: they keep the
+        # values phase 1 ended with, outside the vector Adam updates
+        at_phase2 = []
+        real_pack = pilib.pack
+
+        def pack(model):
+            if model.hard_gates is not None:
+                at_phase2.append(model.gates.log_alpha.copy())
+            return real_pack(model)
+
+        monkeypatch.setattr(pilib, "pack", pack)
+        data = interaction_data(n=400, m=5, seed=3)
+        model, _ = train_pilib(data, 3, [6], 3, 3, 0.3,
+                               TrainConfig(epochs=3, batch_size=64, seed=2))
+        assert len(at_phase2) == 1
+        np.testing.assert_array_equal(model.gates.log_alpha, at_phase2[0])
+        assert "gates.log_alpha" not in model.packed
+        assert not np.shares_memory(model.gates.log_alpha,
+                                    model.packed.flat)
 
     def test_larger_lambda0_pushes_gate_logits_down(self):
         # K = m makes the cap vacuous, so phase 1 lasts exactly one epoch

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from pilid.trainer import (
     PilidModel,
     TrainConfig,
     TrainingError,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    ParamVector,
     init_model,
-    loss,
     loss_and_grads,
     model_forward,
+    pack,
     param_arrays,
     sigmoid,
     train,
@@ -65,65 +70,128 @@ class TestConfig:
             TrainConfig(lam=-1.0)
 
 
+def adam_reference(params, grads_per_step, lr):
+    """The per-array Adam update, the textbook form that `Adam.step` packs
+    into one vector: each array keeps its own moments."""
+    m = {k: np.zeros_like(a) for k, a in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        for k, p in params.items():
+            g = grads[k]
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[k] / (1 - ADAM_BETA1 ** t)
+            v_hat = v[k] / (1 - ADAM_BETA2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        p = {"a": np.array([1.0, 2.0])}
+        p = np.array([1.0, 2.0])
         opt = Adam(p, TrainConfig())
-        opt.step({"a": np.zeros(2)})
-        np.testing.assert_array_equal(p["a"], [1.0, 2.0])
+        opt.step(np.zeros(2))
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_first_step_size_equals_learning_rate(self):
         # with bias correction the first update is lr * g / (|g| + eps)
-        p = {"a": np.array([0.0])}
+        p = np.array([0.0])
         opt = Adam(p, TrainConfig(learning_rate=0.01))
-        opt.step({"a": np.array([3.7])})
-        assert p["a"][0] == pytest.approx(-0.01, rel=1e-6)
+        opt.step(np.array([3.7]))
+        assert p[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_equal_grads_equal_updates(self):
-        p = {"a": np.array([5.0, 5.0])}
+        p = np.array([5.0, 5.0])
         opt = Adam(p, TrainConfig())
         for _ in range(10):
-            opt.step({"a": np.array([1.0, 1.0])})
-        assert p["a"][0] == p["a"][1]
+            opt.step(np.array([1.0, 1.0]))
+        assert p[0] == p[1]
 
     def test_scalar_param_thousand_steps_bounded(self):
-        # a 0-d parameter driven by a constant unit gradient moves by at
-        # most ~lr per step
-        p = {"a": np.zeros(())}
+        # a 0-d parameter, packed as the model's w0 and head_b are, driven
+        # by a constant unit gradient moves by at most ~lr per step
+        model = zeroed_model()
+        params = pack(model)
+        w0 = model.pl.w0
+        assert w0.shape == () and np.shares_memory(w0, params.flat)
         cfg = TrainConfig(learning_rate=0.005)
-        opt = Adam(p, cfg)
+        opt = Adam(params.flat, cfg)
+        grad = params.like(np.zeros_like(params.flat))
+        grad["pl.w0"][...] = 1.0
         prev = 0.0
         for _ in range(1000):
-            opt.step({"a": np.asarray(1.0)})
-            now = float(p["a"])
+            opt.step(grad.flat)
+            now = float(w0)
             assert abs(now - prev) <= cfg.learning_rate * 1.0001
             prev = now
-        assert -5.0 < float(p["a"]) < 0.0
+        assert -5.0 < float(w0) < 0.0
 
     def test_shape_mismatch_rejected(self):
-        opt = Adam({"a": np.zeros(3)}, TrainConfig())
+        opt = Adam(np.zeros(3), TrainConfig())
         with pytest.raises(TrainingError):
-            opt.step({"a": np.zeros(2)})
+            opt.step(np.zeros(2))
 
     def test_updates_are_in_place(self):
         arr = np.array([1.0])
-        opt = Adam({"a": arr}, TrainConfig())
-        opt.step({"a": np.array([1.0])})
+        opt = Adam(arr, TrainConfig())
+        opt.step(np.array([1.0]))
         assert arr[0] != 1.0    # same array object was modified
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_array_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(rng.integers(1, 9, size=rng.integers(0, 3)))
+                  for _ in range(rng.integers(3, 12))] + [(), (4,), (3, 5)]
+        arrays = {f"a{i}": rng.normal(0, 2, shape)
+                  for i, shape in enumerate(shapes)}
+        expected = {k: v.copy() for k, v in arrays.items()}
+        starts = np.cumsum([0] + [a.size for a in arrays.values()]).tolist()
+        packed = ParamVector(
+            np.concatenate([a.ravel() for a in arrays.values()]),
+            {k: (s, a.shape) for (k, a), s in zip(arrays.items(), starts)},
+            n_reg=0, relaxed=False)
+        steps = [{k: rng.normal(0, 10.0 ** rng.integers(-6, 3), a.shape)
+                  for k, a in arrays.items()} for _ in range(300)]
+        lr = float(rng.choice([0.005, 0.1, 1e-4]))
+        opt = Adam(packed.flat, TrainConfig(learning_rate=lr))
+        for grads in steps:
+            opt.step(np.concatenate([grads[k].ravel() for k in packed]))
+        adam_reference(expected, steps, lr)
+        for k, v in expected.items():
+            np.testing.assert_array_equal(packed[k], v, err_msg=k)
+
+    def test_step_allocates_no_temporaries(self):
+        # ~505k parameters; a per-array step would allocate several
+        # parameter-sized temporaries
+        data = toy_data(n=50, m=4)
+        model = init_model(data, 3, [500, 1000], TrainConfig(seed=0))
+        params = pack(model)
+        assert params.flat.size >= 500_000
+        opt = Adam(params.flat, TrainConfig())
+        grad = np.random.default_rng(0).normal(size=params.flat.size)
+        opt.step(grad)      # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            opt.step(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes / 8, peak
 
 
 class TestLoss:
     def test_perfect_regression_zero_loss(self):
         model = zeroed_model()
         X = np.random.default_rng(0).uniform(0, 1, (10, 2))
-        value = loss(model, X, np.zeros(10), TrainConfig(lam=0.0))
+        value = loss_and_grads(model, X, np.zeros(10),
+                               TrainConfig(lam=0.0))[0]
         assert value == 0.0
 
     def test_classification_at_zero_score_is_ln2(self):
         model = zeroed_model(task="classification")
         X = np.random.default_rng(1).uniform(0, 1, (8, 2))
         y = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=float)
-        value = loss(model, X, y, TrainConfig(lam=0.0))
+        value = loss_and_grads(model, X, y, TrainConfig(lam=0.0))[0]
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_l2_term_hand_sum(self):
@@ -131,7 +199,8 @@ class TestLoss:
         model.pl.w[:] = 2.0                    # 6 units at gamma=3, m=2
         X = np.random.default_rng(2).uniform(0, 1, (5, 2))
         y = (model_forward(model, X)[0]).copy()
-        value = loss(model, X, y, TrainConfig(lam=1.0, reg="l2"))
+        value = loss_and_grads(model, X, y,
+                               TrainConfig(lam=1.0, reg="l2"))[0]
         assert value == pytest.approx(6 * 4.0, abs=1e-9)
 
     def test_l1_term_hand_sum(self):
@@ -139,7 +208,8 @@ class TestLoss:
         model.pl.w[:] = -0.5
         X = np.random.default_rng(3).uniform(0, 1, (5, 2))
         y = (model_forward(model, X)[0]).copy()
-        value = loss(model, X, y, TrainConfig(lam=2.0, reg="l1"))
+        value = loss_and_grads(model, X, y,
+                               TrainConfig(lam=2.0, reg="l1"))[0]
         assert value == pytest.approx(2.0 * 6 * 0.5, abs=1e-9)
 
     def test_biases_and_scales_never_regularized(self):
@@ -147,14 +217,16 @@ class TestLoss:
         model.pl.b[:] = 100.0
         model.pl.omega[:] = 0.0                # kills the forward effect
         X = np.random.default_rng(4).uniform(0, 1, (5, 2))
-        value = loss(model, X, np.zeros(5), TrainConfig(lam=10.0, reg="l2"))
+        value = loss_and_grads(model, X, np.zeros(5),
+                               TrainConfig(lam=10.0, reg="l2"))[0]
         assert value == 0.0
 
     def test_stable_for_extreme_scores(self):
         model = zeroed_model(task="classification")
         model.pl.w0 += 1000.0
         X = np.random.default_rng(5).uniform(0, 1, (4, 2))
-        value = loss(model, X, np.ones(4), TrainConfig(lam=0.0))
+        value = loss_and_grads(model, X, np.ones(4),
+                               TrainConfig(lam=0.0))[0]
         assert np.isfinite(value) and value < 1e-6
 
 
