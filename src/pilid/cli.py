@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a pairwise interaction surface grid")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True, help="pair 'a,b' (0-based)")
-    p.add_argument("--grid", type=int, default=25)
+    p.add_argument("--grid", type=_ranged(int, 2), default=25)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_interactions)
     return parser

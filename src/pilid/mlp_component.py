@@ -1,7 +1,10 @@
 """Plain feed-forward network with exact reverse-mode gradients.
 
 Forward: h0 = x, hl = act(Wl h(l-1) + bl), output = wy . hL + by.
-Everything is float64 numpy; no autodiff framework.
+Everything is float64 numpy; no autodiff framework.  Each layer adds its
+bias and applies its activation in place on its matmul output.  The
+backward pass writes the parameter gradients into arrays it is given,
+such as views of the trainer's one gradient vector, or into fresh ones.
 """
 
 from __future__ import annotations
@@ -62,11 +65,6 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(z, out=out)
 
 
-def _act_deriv_from_h(h: np.ndarray, kind: str) -> np.ndarray:
-    # relu subgradient at 0 is 0 (strict inequality below)
-    return (h > 0).astype(np.float64) if kind == "relu" else 1.0 - h * h
-
-
 def _input_batch(x: np.ndarray, params: MlpParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -85,7 +83,9 @@ def mlp_forward(x: np.ndarray, params: MlpParams):
     h = _input_batch(x, params)
     cache = [h]
     for W, b in zip(params.weights, params.biases):
-        h = _act(h @ W.T + b, params.activation)
+        z = h @ W.T
+        z += b
+        h = _act(z, params.activation, out=z)
         cache.append(h)
     out = h @ params.head_w + params.head_b
     return (float(out[0]) if np.ndim(x) == 1 else out), cache
@@ -108,11 +108,13 @@ def mlp_predict(x: np.ndarray, params: MlpParams):
 
 
 def mlp_backward(params: MlpParams, cache: list[np.ndarray],
-                 upstream: np.ndarray) -> MlpGrads:
+                 upstream: np.ndarray, out: MlpGrads | None = None) -> MlpGrads:
     """Exact reverse-mode gradients for every parameter and the input.
 
     `upstream` is dLoss/dOutput, a scalar or length-N vector matching the
-    forward batch; gradients are summed over the batch.
+    forward batch; gradients are summed over the batch.  They are written
+    into `out`'s parameter arrays (fresh ones when `out` is None), and
+    `out.x` is set to the input gradient; `out` is returned.
     """
     if len(cache) != len(params.weights) + 1:
         raise MlpError("cache does not match network depth")
@@ -121,18 +123,25 @@ def mlp_backward(params: MlpParams, cache: list[np.ndarray],
     if up.shape != (hL.shape[0],):
         raise MlpError(f"upstream shape {up.shape} does not match batch "
                        f"size {hL.shape[0]}")
-    g_head_w = hL.T @ up
-    g_head_b = np.asarray(up.sum())
+    if out is None:
+        out = MlpGrads(weights=[np.empty_like(W) for W in params.weights],
+                       biases=[np.empty_like(b) for b in params.biases],
+                       head_w=np.empty_like(params.head_w),
+                       head_b=np.empty(()))
+    np.matmul(hL.T, up, out=out.head_w)
+    np.sum(up, out=out.head_b)
     delta = np.outer(up, params.head_w)
-    gW = [None] * len(params.weights)
-    gb = [None] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):
-        delta = delta * _act_deriv_from_h(cache[l + 1], params.activation)
-        gW[l] = delta.T @ cache[l]
-        gb[l] = delta.sum(axis=0)
+        h = cache[l + 1]
+        if params.activation == "relu":
+            delta *= h > 0      # subgradient 0 at 0; the mask casts to 1.0/0.0
+        else:
+            delta *= 1.0 - h * h
+        np.matmul(delta.T, cache[l], out=out.weights[l])
+        np.sum(delta, axis=0, out=out.biases[l])
         delta = delta @ params.weights[l]
-    return MlpGrads(weights=gW, biases=gb, head_w=g_head_w, head_b=g_head_b,
-                    x=delta)
+    out.x = delta
+    return out
 
 
 def init_gaussian(widths: list[int], sigma: float, seed) -> MlpParams:

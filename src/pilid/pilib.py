@@ -119,11 +119,17 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
 def interaction_surface(model: PilidModel, features: tuple[int, int],
                         grid: int = 25):
     """Grid evaluation of the block-sum restricted to blocks whose active
-    feature set is contained in {a, b}; other features sit at the training
-    means.  Returns (xs_a, xs_b, surface)."""
+    feature set is contained in {a, b}, for two different features and
+    grid >= 2 points per axis; other features sit at the training means.
+    Returns (xs_a, xs_b, surface)."""
     a, b = features
     if not (0 <= a < model.m and 0 <= b < model.m):
         raise TrainingError(f"feature index out of range: {features}")
+    if a == b:
+        raise TrainingError(f"a surface needs two different features, "
+                            f"got {a} and {b}")
+    if grid < 2:
+        raise TrainingError(f"grid must be >= 2, got {grid}")
     if model.train_means is None:
         raise TrainingError("model carries no training means")
     G = block_gates(model)

@@ -119,11 +119,17 @@ def segment_forward(U: np.ndarray, F: np.ndarray, params: PiecewiseLinearParams,
 
 def segment_backward(U: np.ndarray, F: np.ndarray, T: np.ndarray,
                      dscore: np.ndarray, params: PiecewiseLinearParams,
-                     points: CharacteristicPoints) -> dict[str, np.ndarray]:
-    """Gradients of dscore @ score for w, b, omega and w0, by name.  Unit
+                     points: CharacteristicPoints,
+                     out: dict[str, np.ndarray] | None = None
+                     ) -> dict[str, np.ndarray]:
+    """Gradients of dscore @ score for w, b, omega and w0, by name, written
+    into `out`'s arrays (fresh ones when `out` is None) and returned.  Unit
     u's entry is 1 for the rows located above u in its feature, so d/dw_u
     sums dscore over those rows plus F dscore over the rows on u, times
     omega; d/db_u takes [F > 0] in place of F."""
+    if out is None:
+        out = {"w": np.empty(points.total), "b": np.empty(points.total),
+               "omega": np.empty(points.m), "w0": np.empty(())}
     d = dscore[:, None]
 
     def per_unit(v):
@@ -133,11 +139,12 @@ def segment_backward(U: np.ndarray, F: np.ndarray, T: np.ndarray,
     tail = np.concatenate((tail, [0.0]))    # tail[u] sums units u..end
     above = tail[1:] - tail[points.offsets + points.gammas][points.feature_index]
     scale = params.omega[points.feature_index]
-    omega = np.zeros(points.m)
-    omega[points.varying] = T.T @ dscore
-    return {"w": (above + per_unit(F * d)) * scale,
-            "b": (above + per_unit((F > 0) * d)) * scale,
-            "omega": omega, "w0": np.asarray(dscore.sum())}
+    np.multiply(above + per_unit(F * d), scale, out=out["w"])
+    np.multiply(above + per_unit((F > 0) * d), scale, out=out["b"])
+    out["omega"].fill(0.0)
+    out["omega"][points.varying] = T.T @ dscore
+    np.sum(dscore, out=out["w0"])
+    return out
 
 
 def curve_forward(rows: np.ndarray, params: PiecewiseLinearParams,

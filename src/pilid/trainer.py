@@ -13,20 +13,22 @@ then frozen to 0/1 (see pilib.train_pilib).  Every array is optimized
 jointly with mini-batch Adam, without the (N, gamma) encoding, through
 one loss/gradient function and one epoch loop.  Training first packs the
 trainable arrays into one float64 vector whose views the model's fields
-become (`pack`); the gradients come in the same layout, and Adam updates
-the vector in place.  The weights lead the layout, so the regulariser
-(on the wide weights while the gates are relaxed, otherwise on every
-weight, never on biases, omega, w0 or gate logits) acts on one leading
-slice.  The wide component starts from a least-squares fit so the
-optimizer begins in an interpretable region; the blocks start from small
-Gaussian weights.
+become (`pack`).  Each backward pass writes into the views of one
+gradient vector of the same layout, and Adam updates the parameter vector
+in place.  The weights lead the layout, so the regulariser (on the wide
+weights while the gates are relaxed, otherwise on every weight, never on
+biases, omega, w0 or gate logits) acts on one leading slice.  The
+regulariser and Adam pass over their vectors in chunks of CHUNK values
+with chunk-sized scratch, so each pass works within the cache.  The wide
+component starts from a least-squares fit so the optimizer begins in an
+interpretable region; the blocks start from small Gaussian weights.
 Prediction computes the same score from the shape curves (curve_forward)
 and the cache-free block outputs (mlp_predict), in fixed-size row blocks.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -41,6 +43,7 @@ from pilid.encoding import (
 )
 from pilid.mlp_component import (
     MlpError,
+    MlpGrads,
     MlpParams,
     init_gaussian,
     mlp_backward,
@@ -158,11 +161,17 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# Values per chunk of the passes over the parameter and gradient vectors
+# (Adam, the regulariser): 256 KiB per float64 array, so that the several
+# operations on one chunk find its values still in cache.
+CHUNK = 1 << 15
+
 
 class Adam:
     """Adam with bias correction over one flat parameter vector, updated in
-    place once per batch.  The moments and two scratch vectors are
-    allocated once, so a step allocates no array."""
+    place once per batch, CHUNK values at a time.  The moments and two
+    chunk-sized scratch arrays are allocated once, so a step allocates no
+    array."""
 
     def __init__(self, params: np.ndarray, config: TrainConfig):
         self.params = params
@@ -170,28 +179,32 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._num = np.empty_like(params)
-        self._den = np.empty_like(params)
+        self._num = np.empty(min(CHUNK, params.size))
+        self._den = np.empty_like(self._num)
 
     def step(self, grad: np.ndarray):
         if grad.shape != self.params.shape:
             raise TrainingError(f"gradient shape mismatch: {grad.shape} vs "
                                 f"{self.params.shape}")
         self.t += 1
-        m, v, num, den = self.m, self.v, self._num, self._den
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        np.multiply(m, ADAM_BETA1, out=m)
-        m += np.multiply(grad, 1 - ADAM_BETA1, out=num)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(grad, 1 - ADAM_BETA2, out=num)
-        v += np.multiply(num, grad, out=num)
-        # p -= lr m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1 - ADAM_BETA1 ** self.t, out=num)
-        num *= self.lr
-        np.divide(v, 1 - ADAM_BETA2 ** self.t, out=den)
-        np.sqrt(den, out=den)
-        den += ADAM_EPSILON
-        self.params -= np.divide(num, den, out=num)
+        fix1, fix2 = 1 - ADAM_BETA1 ** self.t, 1 - ADAM_BETA2 ** self.t
+        for lo in range(0, self.params.size, CHUNK):
+            p, g = self.params[lo:lo + CHUNK], grad[lo:lo + CHUNK]
+            m, v = self.m[lo:lo + CHUNK], self.v[lo:lo + CHUNK]
+            num, den = self._num[:p.size], self._den[:p.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            np.multiply(m, ADAM_BETA1, out=m)
+            m += np.multiply(g, 1 - ADAM_BETA1, out=num)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1 - ADAM_BETA2, out=num)
+            v += np.multiply(num, g, out=num)
+            # p -= lr m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, fix1, out=num)
+            num *= self.lr
+            np.divide(v, fix2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPSILON
+            p -= np.divide(num, den, out=num)
 
 
 def sigmoid(z):
@@ -279,8 +292,8 @@ def _data_loss_and_grad(score: np.ndarray, y: np.ndarray, task: str):
 
 class ParamVector(Mapping):
     """Named arrays held as views into one float64 vector, `flat`, in the
-    order of `param_arrays`.  `spans` maps each name to its (start, shape);
-    the first `n_reg` values are the regularised weights."""
+    order of `param_arrays`.  `spans` maps each name to its (start, stop,
+    shape); the first `n_reg` values are the regularised weights."""
 
     def __init__(self, flat: np.ndarray, spans: dict, n_reg: int,
                  relaxed: bool):
@@ -288,8 +301,8 @@ class ParamVector(Mapping):
         self.relaxed = relaxed      # the gate state the layout was made for
 
     def __getitem__(self, name: str) -> np.ndarray:
-        start, shape = self.spans[name]
-        return self.flat[start:start + math.prod(shape)].reshape(shape)
+        start, stop, shape = self.spans[name]
+        return self.flat[start:stop].reshape(shape)
 
     def __iter__(self):
         return iter(self.spans)
@@ -297,9 +310,24 @@ class ParamVector(Mapping):
     def __len__(self) -> int:
         return len(self.spans)
 
+    def views(self, names) -> list[np.ndarray]:
+        """The arrays of `names`, in order."""
+        flat, spans = self.flat, self.spans
+        return [flat[start:stop].reshape(shape)
+                for start, stop, shape in map(spans.__getitem__, names)]
+
     def like(self, flat: np.ndarray) -> ParamVector:
         """Another vector of this layout, such as a gradient."""
         return ParamVector(flat, self.spans, self.n_reg, self.relaxed)
+
+
+@functools.cache
+def _block_names(i: int, depth: int) -> tuple[str, ...]:
+    """The names of block i's arrays in MlpGrads order: its `depth` layer
+    weights, its biases, head_w and head_b."""
+    return (*(f"blk{i}.W{l}" for l in range(depth)),
+            *(f"blk{i}.b{l}" for l in range(depth)),
+            f"blk{i}.head_w", f"blk{i}.head_b")
 
 
 def _slots(model: PilidModel):
@@ -314,11 +342,12 @@ def _slots(model: PilidModel):
         weights.append(("pl.w", model.pl, "w"))
         rest += [(f"pl.{k}", model.pl, k) for k in ("b", "omega", "w0")]
     for i, blk in enumerate(model.blocks):
-        for l in range(len(blk.weights)):
-            weights.append((f"blk{i}.W{l}", blk.weights, l))
-            rest.append((f"blk{i}.b{l}", blk.biases, l))
-        weights.append((f"blk{i}.head_w", blk, "head_w"))
-        rest.append((f"blk{i}.head_b", blk, "head_b"))
+        depth = len(blk.weights)
+        names = _block_names(i, depth)
+        weights += [(names[l], blk.weights, l) for l in range(depth)]
+        weights.append((names[-2], blk, "head_w"))
+        rest += [(names[depth + l], blk.biases, l) for l in range(depth)]
+        rest.append((names[-1], blk, "head_b"))
     if not model.gates_relaxed:
         return weights + rest, len(weights)
     rest.append(("gates.log_alpha", model.gates, "log_alpha"))
@@ -342,7 +371,7 @@ def _gather(model: PilidModel) -> ParamVector:
     slots, n_weights = _slots(model)
     arrays = [_get(owner, key) for _, owner, key in slots]
     starts = np.cumsum([0] + [a.size for a in arrays]).tolist()
-    spans = {name: (start, a.shape)
+    spans = {name: (start, start + a.size, a.shape)
              for (name, _, _), start, a in zip(slots, starts, arrays)}
     return ParamVector(np.concatenate(arrays, axis=None), spans,
                        starts[n_weights], model.gates_relaxed)
@@ -412,9 +441,10 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     While the gates are relaxed: data term + lambda*Omega(wide weights) +
     order penalty on the relaxed gate sums, with gradients flowing into
     the gate logits.  Otherwise: data term + lambda*Omega(all weights)
-    under the hard gates.  The gradients come as one ParamVector in the
-    layout of `param_arrays`; the regulariser acts on its leading slice.
-    A model that was never packed is read through a copy, not rebound.
+    under the hard gates.  The gradients come as one fresh ParamVector in
+    the layout of `param_arrays`, whose views the backward passes write
+    into; the regulariser acts on its leading slice.  A model that was
+    never packed is read through a copy, not rebound.
     """
     X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
@@ -432,18 +462,22 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
         caches.append(cache)
     data, dscore = _data_loss_and_grad(score, y, model.task)
 
-    grads: dict[str, np.ndarray] = {}
+    params = model.packed
+    if params is None or params.relaxed != relaxed:
+        params = _gather(model)
+    # fresh per call: callers may hold a result across calls
+    grad = params.like(np.empty_like(params.flat))
     if model.pl is not None:
-        grads = {f"pl.{k}": g for k, g in segment_backward(
-            U, F, T, dscore, model.pl, model.points).items()}
+        segment_backward(U, F, T, dscore, model.pl, model.points,
+                         out={k: grad[f"pl.{k}"]
+                              for k in ("w", "b", "omega", "w0")})
     dG = np.zeros_like(model.gates.log_alpha) if relaxed else None
     for i, (block, cache) in enumerate(zip(model.blocks, caches)):
-        mg = mlp_backward(block, cache, dscore)
-        for l in range(len(mg.weights)):
-            grads[f"blk{i}.W{l}"] = mg.weights[l]
-            grads[f"blk{i}.b{l}"] = mg.biases[l]
-        grads[f"blk{i}.head_w"] = mg.head_w
-        grads[f"blk{i}.head_b"] = mg.head_b
+        depth = len(block.weights)
+        views = grad.views(_block_names(i, depth))
+        mg = mlp_backward(block, cache, dscore, out=MlpGrads(
+            weights=views[:depth], biases=views[depth:-2],
+            head_w=views[-2], head_b=views[-1]))
         if relaxed:
             # d(masked input)/d(gate_ij) = x_j, summed over the batch
             dG[i] = (mg.x * X).sum(axis=0)
@@ -454,20 +488,32 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
         total += lk_penalty(khat, model.gates.K, model.gates.lambda0)
         dG = dG + _lk_penalty_gate_grad(khat, model.gates.K,
                                         model.gates.lambda0)
-        grads["gates.log_alpha"] = dG * _gate_grad_factor(model.gates)
-
-    params = model.packed
-    if params is None or params.relaxed != relaxed:
-        params = _gather(model)
-    grad = params.like(np.concatenate([grads[k] for k in params], axis=None))
-    w, g = params.flat[:params.n_reg], grad.flat[:params.n_reg]
-    if config.lam != 0 and config.reg == "l2":
-        total += config.lam * float(np.sum(w * w))
-        g += 2.0 * config.lam * w
-    elif config.lam != 0 and config.reg == "l1":
-        total += config.lam * float(np.sum(np.abs(w)))
-        g += config.lam * np.sign(w)
+        np.multiply(dG, _gate_grad_factor(model.gates),
+                    out=grad["gates.log_alpha"])
+    if config.lam != 0 and config.reg != "none":
+        total += config.lam * _regularise(params.flat[:params.n_reg],
+                                          grad.flat[:params.n_reg],
+                                          config.lam, config.reg)
     return total, grad
+
+
+def _regularise(w: np.ndarray, g: np.ndarray, lam: float, reg: str) -> float:
+    """Add the gradient of lam * Omega(w) to g and return Omega(w), where
+    Omega is sum(w * w) for "l2" and sum(|w|) for "l1".  The gradient is
+    made CHUNK values at a time in chunk-sized scratch."""
+    tmp = np.empty(min(CHUNK, w.size))
+    value = float(np.einsum("i,i->", w, w)) if reg == "l2" else 0.0
+    for lo in range(0, w.size, CHUNK):
+        wc, gc = w[lo:lo + CHUNK], g[lo:lo + CHUNK]
+        t = tmp[:wc.size]
+        if reg == "l2":
+            gc += np.multiply(wc, 2.0 * lam, out=t)
+        else:
+            value += float(np.sum(np.abs(wc, out=t)))
+            np.sign(wc, out=t)
+            t *= lam
+            gc += t
+    return value
 
 
 def parse_widths(spec) -> list[int]:

@@ -272,16 +272,34 @@ class TestFlagRanges:
         (["synth", "--m", "3", "--n", "10", "--interactions", "-1"],
          "--interactions"),
         (["synth", "--m", "3", "--n", "10", "--noise", "nan"], "--noise"),
+        (["export-interactions", "--features", "0,1", "--grid", "0"],
+         "--grid"),
+        (["export-interactions", "--features", "0,1", "--grid", "-1"],
+         "--grid"),
     ])
     def test_rejected_naming_the_flag(self, tmp_path, argv, flag):
         out = tmp_path / "out"
-        if argv[0] != "synth":
+        if argv[0] in ("train", "train-pilib"):
             argv = argv + ["--data", tmp_path / "missing.csv",
                            "--target", "y"]
+        elif argv[0] == "export-interactions":
+            argv = argv + ["--model", tmp_path / "missing.plm"]
         code, err, caught = run(*argv, "--out", out)
         assert code == 2
         assert err.startswith(f"pilid: error: argument {flag}: ") \
             and err.count("\n") == 1, err
+        assert caught == [] and not out.exists()
+
+    def test_surface_of_one_feature_with_itself_rejected(self, saved,
+                                                         tmp_path):
+        d, _, _, _ = saved
+        out = tmp_path / "surface.csv"
+        code, err, caught = run("export-interactions", "--model",
+                                d / "pilib.plm", "--features", "1,1",
+                                "--out", out)
+        assert code == 1
+        assert err.startswith("pilid: error: ") and err.count("\n") == 1, err
+        assert "1 and 1" in err, err
         assert caught == [] and not out.exists()
 
     def test_split_one_trains_on_every_row(self, saved, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from pilid.mlp_component import (
     MlpError,
+    MlpGrads,
     MlpParams,
     init_gaussian,
     mlp_backward,
@@ -158,6 +159,35 @@ class TestBackward:
             xm[j] -= h
             fd = (mlp_forward(xp, params)[0] - mlp_forward(xm, params)[0]) / (2 * h)
             assert g.x[0, j] == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_writes_into_given_arrays_bit_for_bit(self, activation):
+        params = tiny_net(activation, 4, widths=(5, 7, 6, 4))
+        rng = np.random.default_rng(12)
+        X = rng.normal(0, 1, (9, 5))
+        X[0, :] = 0.0               # relu units at exactly 0
+        _, cache = mlp_forward(X, params)
+        up = rng.normal(0, 1, 9)
+        fresh = mlp_backward(params, cache, up)
+        # views into one buffer, as the trainer passes them
+        buf = np.full(flatten_params(params).size + 3, np.nan)
+        views, at = [], 3
+        for a in params.weights + params.biases + [params.head_w,
+                                                   params.head_b]:
+            views.append(buf[at:at + a.size].reshape(a.shape))
+            at += a.size
+        depth = len(params.weights)
+        given = MlpGrads(weights=views[:depth], biases=views[depth:-2],
+                         head_w=views[-2], head_b=views[-1])
+        got = mlp_backward(params, cache, up, out=given)
+        returned = got.weights + got.biases + [got.head_w, got.head_b]
+        for want, have, view in zip(
+                fresh.weights + fresh.biases + [fresh.head_w, fresh.head_b],
+                returned, views):
+            np.testing.assert_array_equal(have, want)
+            assert np.shares_memory(have, view)
+        np.testing.assert_array_equal(got.x, fresh.x)
+        assert np.all(np.isnan(buf[:3]))    # nothing written outside
 
     def test_cache_depth_mismatch_rejected(self):
         params = tiny_net()

@@ -332,6 +332,18 @@ class TestInteractionSurface:
         with pytest.raises(TrainingError):
             interaction_surface(model, (0, 9))
 
+    def test_same_feature_twice_rejected(self):
+        # the second feature's column would overwrite the first's
+        model = manual_pilib(interaction_data(n=100, m=4), B=1)
+        with pytest.raises(TrainingError, match="2 and 2"):
+            interaction_surface(model, (2, 2))
+
+    @pytest.mark.parametrize("grid", [1, 0, -1])
+    def test_grid_below_two_rejected(self, grid):
+        model = manual_pilib(interaction_data(n=100, m=4), B=1)
+        with pytest.raises(TrainingError, match="grid"):
+            interaction_surface(model, (0, 1), grid=grid)
+
     def test_missing_train_means_rejected(self):
         data = interaction_data(n=100, m=4)
         model = manual_pilib(data, B=1)

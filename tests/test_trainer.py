@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -6,9 +7,10 @@ import pytest
 
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.encoding import build_points, encode_matrix
-from pilid.mlp_component import MlpParams
+from pilid.mlp_component import MlpParams, mlp_forward
 from pilid.pl_component import PiecewiseLinearParams, linear_forward
 from pilid.trainer import (
+    CHUNK,
     Adam,
     PilidModel,
     TrainConfig,
@@ -17,6 +19,8 @@ from pilid.trainer import (
     ADAM_BETA2,
     ADAM_EPSILON,
     ParamVector,
+    _regularise,
+    gate_values,
     init_model,
     loss_and_grads,
     model_forward,
@@ -136,21 +140,19 @@ class TestAdam:
         opt.step(np.array([1.0]))
         assert arr[0] != 1.0    # same array object was modified
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_per_array_reference_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        shapes = [tuple(rng.integers(1, 9, size=rng.integers(0, 3)))
-                  for _ in range(rng.integers(3, 12))] + [(), (4,), (3, 5)]
+    @staticmethod
+    def check_against_reference(rng, shapes, n_steps):
         arrays = {f"a{i}": rng.normal(0, 2, shape)
                   for i, shape in enumerate(shapes)}
         expected = {k: v.copy() for k, v in arrays.items()}
         starts = np.cumsum([0] + [a.size for a in arrays.values()]).tolist()
         packed = ParamVector(
             np.concatenate([a.ravel() for a in arrays.values()]),
-            {k: (s, a.shape) for (k, a), s in zip(arrays.items(), starts)},
+            {k: (s, s + a.size, a.shape)
+             for (k, a), s in zip(arrays.items(), starts)},
             n_reg=0, relaxed=False)
         steps = [{k: rng.normal(0, 10.0 ** rng.integers(-6, 3), a.shape)
-                  for k, a in arrays.items()} for _ in range(300)]
+                  for k, a in arrays.items()} for _ in range(n_steps)]
         lr = float(rng.choice([0.005, 0.1, 1e-4]))
         opt = Adam(packed.flat, TrainConfig(learning_rate=lr))
         for grads in steps:
@@ -158,6 +160,18 @@ class TestAdam:
         adam_reference(expected, steps, lr)
         for k, v in expected.items():
             np.testing.assert_array_equal(packed[k], v, err_msg=k)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_array_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(rng.integers(1, 9, size=rng.integers(0, 3)))
+                  for _ in range(rng.integers(3, 12))] + [(), (4,), (3, 5)]
+        self.check_against_reference(rng, shapes, 300)
+
+    def test_matches_reference_across_chunks(self):
+        # arrays that straddle chunk boundaries and a short last chunk
+        shapes = [(CHUNK - 3,), (), (70, 1000), (5,)]
+        self.check_against_reference(np.random.default_rng(9), shapes, 12)
 
     def test_step_allocates_no_temporaries(self):
         # ~505k parameters; a per-array step would allocate several
@@ -177,6 +191,26 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < params.flat.nbytes / 8, peak
+
+
+class TestRegulariser:
+    @pytest.mark.parametrize("reg", ["l2", "l1"])
+    def test_chunked_gradient_matches_vector_form(self, reg):
+        rng = np.random.default_rng(3)
+        w = rng.normal(0, 1, 2 * CHUNK + 17)
+        w[::97] = 0.0
+        g0 = rng.normal(0, 1, w.size)
+        lam = 0.37
+        g = g0.copy()
+        value = _regularise(w, g, lam, reg)
+        expected = g0.copy()
+        if reg == "l2":
+            expected += 2.0 * lam * w
+            assert value == pytest.approx(np.sum(w * w), rel=1e-12)
+        else:
+            expected += lam * np.sign(w)
+            assert value == pytest.approx(np.sum(np.abs(w)), rel=1e-12)
+        np.testing.assert_array_equal(g, expected)
 
 
 class TestLoss:
@@ -228,6 +262,63 @@ class TestLoss:
         value = loss_and_grads(model, X, np.ones(4),
                                TrainConfig(lam=0.0))[0]
         assert np.isfinite(value) and value < 1e-6
+
+
+def gated_model(relaxed):
+    data = toy_data(n=40, m=3)
+    model = init_model(data, 3, [5, 4], TrainConfig(seed=2, sigma=0.3), B=2)
+    if not relaxed:
+        model.hard_gates = gate_values(model.gates, "eval")
+    return model, data
+
+
+class TestPackedGradients:
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("reg", ["l2", "l1"])
+    def test_packed_and_unpacked_agree_bit_for_bit(self, relaxed, reg):
+        model, data = gated_model(relaxed)
+        unpacked = copy.deepcopy(model)
+        pack(model)
+        cfg = TrainConfig(lam=0.01, reg=reg)
+        value, grad = loss_and_grads(model, data.rows, data.targets, cfg)
+        value_u, grad_u = loss_and_grads(unpacked, data.rows, data.targets,
+                                         cfg)
+        assert unpacked.packed is None
+        assert value == value_u
+        assert list(grad) == list(grad_u)
+        np.testing.assert_array_equal(grad.flat, grad_u.flat)
+
+    def test_each_call_returns_a_fresh_vector(self):
+        model, data = gated_model(relaxed=True)
+        params = pack(model)
+        cfg = TrainConfig()
+        first = loss_and_grads(model, data.rows, data.targets, cfg)[1]
+        kept = first.flat.copy()
+        second = loss_and_grads(model, data.rows[:7], data.targets[:7],
+                                cfg)[1]
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.shares_memory(first.flat, params.flat)
+        np.testing.assert_array_equal(first.flat, kept)
+
+    def test_call_allocates_no_vector_sized_temporaries(self):
+        # the reference network on one 256-row batch: beyond the fresh
+        # gradient vector and the activation cache, what one call
+        # allocates must stay well below another vector's worth
+        data = toy_data(n=256, m=10)
+        cfg = TrainConfig(seed=0)
+        model = init_model(data, 5, [100, 200, 400, 400, 200, 100], cfg)
+        params = pack(model)
+        cache = sum(h.nbytes for h in mlp_forward(data.rows, model.mlp)[1])
+        loss_and_grads(model, data.rows, data.targets, cfg)     # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loss_and_grads(model, data.rows, data.targets, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes + cache + 2 * 2 ** 20, \
+            (peak, params.flat.nbytes, cache)
 
 
 class TestJointGradients:
