@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +82,6 @@ class ExperimentConfig:
     max_order: int = 3
     lambda0: float = 0.1
 
-    def fingerprint(self) -> str:
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
-
 
 # Per-trial columns of the report after `value`; a cell is empty where
 # the model kind has no such figure (see _run_one_trial).
@@ -111,8 +107,6 @@ class TrialReport:
     mean: float
     std: float                # sample (n-1) convention; 0 for one trial
     seeds: list[int]
-    fingerprint: str
-    degenerate_std: bool = False
     details: list[dict] = field(default_factory=list)  # per trial, by column
 
     def to_csv(self) -> str:
@@ -173,5 +167,4 @@ def run_trials(config: ExperimentConfig, n_trials: int) -> TrialReport:
     details = [d for _, d in trials]
     std = float(np.std(values, ddof=1)) if n_trials > 1 else 0.0
     return TrialReport(values=values, mean=float(np.mean(values)), std=std,
-                       seeds=seeds, fingerprint=config.fingerprint(),
-                       degenerate_std=n_trials == 1, details=details)
+                       seeds=seeds, details=details)

@@ -1,11 +1,16 @@
 """Bit-exact model persistence and shape/surface export.
 
-Model files are line-oriented UTF-8 text with every real stored as a
-hexadecimal float, a format version and a whole-payload checksum, so a
-load reproduces the saved parameters bit for bit.  Format 1 has two
-layouts: `variant pilid` stores a model without gate logits as its one
-network (`mlp.`), `variant pilib` stores the blocks, gate logits and hard
-gates; both load into the one model class.
+A model file is UTF-8 text: `pilid-model <version>`, a SHA-256 checksum
+of the payload, then one key and its values per line, every real as a
+hexadecimal float, so a load reproduces the parameters bit for bit.
+Format 2 has one layout for every model: task, features, names, points,
+the wide component (`pl none`, or `pl present` and its arrays), `blocks B`
+and each block's `blk{i}.` arrays, the gates (`gates.meta none`, or
+`gates.meta` and `gates.log_alpha`), hard_gates and train_means (values
+or `none`), and the fingerprint.  Format 1 is read, not written: its
+`variant pilib` payload is a format 2 payload after that line, and its
+`variant pilid` payload stores at most one network under `mlp`.  A value
+that is no finite float fails the load, naming the file and the key.
 """
 
 from __future__ import annotations
@@ -16,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from pilid.dataset import FeatureSpec
 from pilid.encoding import CharacteristicPoints
 from pilid.mlp_component import MlpParams
 from pilid.pl_component import PiecewiseLinearParams, extract_shapes
-from pilid.trainer import PilibGates, PilidModel
+from pilid.trainer import PilibGates, PilidModel, TrainingError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAGIC = "pilid-model"
 
 
@@ -30,64 +34,49 @@ class PersistError(ValueError):
     pass
 
 
-def _hex(x: float) -> str:
-    return float(x).hex()
-
-
-def _vec(a: np.ndarray) -> str:
-    return " ".join(_hex(v) for v in np.asarray(a, dtype=np.float64).ravel())
+def _line(key: str, a) -> str:
+    """`key` and the values of `a`, or `key none` when `a` is None."""
+    if a is None:
+        return f"{key} none"
+    values = np.asarray(a, dtype=np.float64).ravel().tolist()
+    return " ".join([key, *map(float.hex, values)])
 
 
 def _emit_mlp(lines: list[str], prefix: str, mlp: MlpParams):
     lines.append(f"{prefix}.meta {mlp.activation} {len(mlp.weights)}")
     for l, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        lines.append(f"{prefix}.W{l} {W.shape[0]} {W.shape[1]} {_vec(W)}")
-        lines.append(f"{prefix}.b{l} {_vec(b)}")
-    lines.append(f"{prefix}.head_w {_vec(mlp.head_w)}")
-    lines.append(f"{prefix}.head_b {_hex(float(mlp.head_b))}")
+        lines.append(_line(f"{prefix}.W{l} {W.shape[0]} {W.shape[1]}", W))
+        lines.append(_line(f"{prefix}.b{l}", b))
+    lines.append(_line(f"{prefix}.head_w", mlp.head_w))
+    lines.append(_line(f"{prefix}.head_b", mlp.head_b))
 
 
 def _payload(model: PilidModel, fingerprint: str) -> list[str]:
-    gated = model.gates is not None
-    if not gated and (len(model.blocks) > 1
-                      or not np.all(model.hard_gates == 1.0)):
-        raise PersistError("a model without gate logits must be one block "
-                           "with every gate open")
-    lines = [f"variant {'pilib' if gated else 'pilid'}",
-             f"task {model.task}",
-             f"features {model.m}"]
+    lines = [f"task {model.task}", f"features {model.m}"]
     for j, name in enumerate(model.feature_names or
                              [f"x{j}" for j in range(model.m)]):
         lines.append(f"name {j} {urllib.parse.quote(name, safe='')}")
     for j in range(model.m):
         flag = "const" if model.points.constant[j] else "knots"
-        lines.append(f"points {j} {flag} {_vec(model.points.points[j])}")
+        lines.append(_line(f"points {j} {flag}", model.points.points[j]))
     pl = model.pl
     if pl is None:
         lines.append("pl none")
     else:
-        lines.append("pl present")
-        lines.append(f"pl.w {_vec(pl.w)}")
-        lines.append(f"pl.b {_vec(pl.b)}")
-        lines.append(f"pl.omega {_vec(pl.omega)}")
-        lines.append(f"pl.w0 {_hex(float(pl.w0))}")
-    if gated:
-        lines.append(f"blocks {len(model.blocks)}")
-        for i, blk in enumerate(model.blocks):
-            _emit_mlp(lines, f"blk{i}", blk)
-        g = model.gates
-        lines.append(f"gates.meta {_hex(g.temperature)} {g.K} {_hex(g.lambda0)} "
-                     f"{g.B} {g.log_alpha.shape[1]}")
-        lines.append(f"gates.log_alpha {_vec(g.log_alpha)}")
-        lines.append("hard_gates none" if model.hard_gates is None
-                     else f"hard_gates {_vec(model.hard_gates)}")
-        lines.append("train_means none" if model.train_means is None
-                     else f"train_means {_vec(model.train_means)}")
-    elif model.mlp is None:
-        lines.append("mlp none")
+        lines += ["pl present", _line("pl.w", pl.w), _line("pl.b", pl.b),
+                  _line("pl.omega", pl.omega), _line("pl.w0", pl.w0)]
+    lines.append(f"blocks {len(model.blocks)}")
+    for i, blk in enumerate(model.blocks):
+        _emit_mlp(lines, f"blk{i}", blk)
+    g = model.gates
+    if g is None:
+        lines.append("gates.meta none")
     else:
-        lines.append("mlp present")
-        _emit_mlp(lines, "mlp", model.mlp)
+        lines.append(f"gates.meta {float(g.temperature).hex()} {g.K} "
+                     f"{float(g.lambda0).hex()} {g.B} {g.log_alpha.shape[1]}")
+        lines.append(_line("gates.log_alpha", g.log_alpha))
+    lines.append(_line("hard_gates", model.hard_gates))
+    lines.append(_line("train_means", model.train_means))
     lines.append(f"fingerprint {urllib.parse.quote(fingerprint, safe='')}")
     return lines
 
@@ -111,6 +100,17 @@ def _counted(key: str, values: list[str], count: int,
     return values
 
 
+def _floats(key: str, tokens: list[str]) -> np.ndarray:
+    """The finite floats that `tokens`, the values of `key`, encode."""
+    try:
+        a = np.array([float.fromhex(t) for t in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise PersistError(f"bad float encoding in {key!r}: {exc}") from None
+    if not np.all(np.isfinite(a)):
+        raise PersistError(f"non-finite value in {key!r}")
+    return a
+
+
 class _Reader:
     def __init__(self, lines: list[str]):
         self.lines = lines
@@ -128,20 +128,20 @@ class _Reader:
         self.pos += 1
         return _counted(key, parts[1:], count, exact)
 
+    def floats(self, key: str, count: int) -> np.ndarray:
+        """A line of exactly `count` floats."""
+        return _floats(key, self.next(key, count))
+
     def optional(self, key: str, count: int) -> np.ndarray | None:
         """A line that holds `none` or exactly `count` floats."""
-        tok = self.next(key, 1, exact=False)
-        return None if tok == ["none"] else _floats(_counted(key, tok, count))
+        tok = self.next(key, 0, exact=False)
+        if tok == ["none"]:
+            return None
+        return _floats(key, _counted(key, tok, count))
 
 
-def _floats(tokens: list[str]) -> np.ndarray:
-    try:
-        return np.array([float.fromhex(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise PersistError(f"bad float encoding: {exc}") from exc
-
-
-def _read_mlp(r: _Reader, prefix: str) -> MlpParams:
+def _read_mlp(r: _Reader, prefix: str, m: int) -> MlpParams:
+    """The network under `prefix`, whose input is the m features."""
     activation, n_layers = r.next(f"{prefix}.meta", 2)
     weights, biases = [], []
     rows = 0
@@ -149,17 +149,21 @@ def _read_mlp(r: _Reader, prefix: str) -> MlpParams:
         key = f"{prefix}.W{l}"
         tok = r.next(key, 2, exact=False)
         rows, cols = int(tok[0]), int(tok[1])
-        weights.append(_floats(_counted(key, tok[2:], rows * cols)
+        weights.append(_floats(key, _counted(key, tok[2:], rows * cols)
                                ).reshape(rows, cols))
-        biases.append(_floats(r.next(f"{prefix}.b{l}", rows)))
-    head_w = _floats(r.next(f"{prefix}.head_w", rows))
-    head_b = _floats(r.next(f"{prefix}.head_b"))[0]
-    return MlpParams(weights=weights, biases=biases, head_w=head_w,
-                     head_b=head_b, activation=activation)
+        biases.append(r.floats(f"{prefix}.b{l}", rows))
+    mlp = MlpParams(weights=weights, biases=biases,
+                    head_w=r.floats(f"{prefix}.head_w", rows),
+                    head_b=r.floats(f"{prefix}.head_b", 1)[0],
+                    activation=activation)
+    if mlp.input_dim != m:
+        raise PersistError(f"malformed model file: '{prefix}.W0' has "
+                           f"{mlp.input_dim} columns for {m} features")
+    return mlp
 
 
 def load(path) -> PilidModel:
-    """Load a model file of either layout into the one model class."""
+    """Load a model file of format 1 or 2 into the one model class."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -174,9 +178,9 @@ def load(path) -> PilidModel:
     if len(head) < 2:
         raise PersistError(f"{path}: missing format version")
     version = head[1]
-    if version != str(FORMAT_VERSION):
+    if version not in ("1", str(FORMAT_VERSION)):
         raise PersistError(f"{path}: unsupported format version {version} "
-                           f"(expected {FORMAT_VERSION})")
+                           f"(reads 1 and {FORMAT_VERSION})")
     check = lines[1].split() if len(lines) > 1 else []
     if len(check) != 2 or check[0] != "checksum":
         raise PersistError(f"{path}: missing checksum")
@@ -187,63 +191,57 @@ def load(path) -> PilidModel:
     if hashlib.sha256(payload.encode()).hexdigest() != stored:
         raise PersistError(f"{path}: checksum mismatch (corrupt or truncated)")
 
+    # a PersistError, a count that is no int, or gate settings out of range
     try:
-        return _read_model(_Reader(lines[2:]))
-    except ValueError as exc:   # a PersistError, or a count that is no int
+        return _read_model(_Reader(lines[2:]), version == "1")
+    except (ValueError, TrainingError) as exc:
         raise PersistError(f"{path}: {exc}") from None
 
 
-def _read_model(r: _Reader) -> PilidModel:
-    """The model that a checked payload describes, in either layout."""
-    variant = r.next("variant")[0]
+def _read_model(r: _Reader, v1: bool) -> PilidModel:
+    """The model that a checked payload describes.  A format 1 payload
+    starts with its variant; `variant pilib` is followed by a format 2
+    payload."""
+    variant = r.next("variant")[0] if v1 else "pilib"
+    if variant not in ("pilid", "pilib"):
+        raise PersistError(f"unknown variant {variant!r}")
     task = r.next("task")[0]
     m = int(r.next("features")[0])
-    names = []
-    for j in range(m):
-        tok = r.next("name", 2)
-        names.append(urllib.parse.unquote(tok[1]))
-    pts, const = [], []
-    for j in range(m):
-        tok = r.next("points", 3, exact=False)
-        const.append(tok[1] == "const")
-        pts.append(_floats(tok[2:]))
-    points = CharacteristicPoints(points=pts, constant=const)
+    names = [urllib.parse.unquote(r.next("name", 2)[1]) for _ in range(m)]
+    tok = [r.next("points", 3, exact=False) for _ in range(m)]
+    points = CharacteristicPoints(
+        points=[_floats("points", t[2:]) for t in tok],
+        constant=[t[1] == "const" for t in tok])
 
-    pl_tok = r.next("pl")
-    if pl_tok[0] == "none":
-        pl = None
-    else:
+    pl = None
+    if r.next("pl")[0] != "none":
         pl = PiecewiseLinearParams(
-            w=_floats(r.next("pl.w", points.total)),
-            b=_floats(r.next("pl.b", points.total)),
-            omega=_floats(r.next("pl.omega", m)),
-            w0=_floats(r.next("pl.w0"))[0])
+            w=r.floats("pl.w", points.total), b=r.floats("pl.b", points.total),
+            omega=r.floats("pl.omega", m), w0=r.floats("pl.w0", 1)[0])
 
     if variant == "pilid":
-        blocks = [] if r.next("mlp")[0] == "none" else [_read_mlp(r, "mlp")]
+        blocks = [] if r.next("mlp")[0] == "none" \
+            else [_read_mlp(r, "mlp", m)]
         return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
                           feature_names=names)
-    if variant != "pilib":
-        raise PersistError(f"unknown variant {variant!r}")
     B = int(r.next("blocks")[0])
-    blocks = [_read_mlp(r, f"blk{i}") for i in range(B)]
-    gm = r.next("gates.meta", 5)
-    temperature = float.fromhex(gm[0])
-    K, lambda0 = int(gm[1]), float.fromhex(gm[2])
-    gB, gm_cols = int(gm[3]), int(gm[4])
-    if (gB, gm_cols) != (B, m):
-        raise PersistError(f"malformed model file: 'gates.meta' gives "
-                           f"{gB} x {gm_cols} gates for {B} blocks and "
-                           f"{m} features")
-    log_alpha = _floats(r.next("gates.log_alpha", gB * gm_cols)
-                        ).reshape(gB, gm_cols)
-    gates = PilibGates(log_alpha=log_alpha, temperature=temperature,
-                       K=K, lambda0=lambda0)
-    hard = r.optional("hard_gates", gB * gm_cols)
+    blocks = [_read_mlp(r, f"blk{i}", m) for i in range(B)]
+    gates = None
+    gm = r.next("gates.meta", 1, exact=False)
+    if gm != ["none"]:
+        temperature, K, lambda0, gB, gm_cols = _counted("gates.meta", gm, 5)
+        if (int(gB), int(gm_cols)) != (B, m):
+            raise PersistError(f"malformed model file: 'gates.meta' gives "
+                               f"{gB} x {gm_cols} gates for {B} blocks and "
+                               f"{m} features")
+        temperature, lambda0 = _floats("gates.meta", [temperature, lambda0])
+        gates = PilibGates(
+            log_alpha=r.floats("gates.log_alpha", B * m).reshape(B, m),
+            temperature=temperature, K=int(K), lambda0=lambda0)
+    hard = r.optional("hard_gates", B * m)
     return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
                       feature_names=names, gates=gates,
-                      hard_gates=None if hard is None
-                      else hard.reshape(gB, gm_cols),
+                      hard_gates=None if hard is None else hard.reshape(B, m),
                       train_means=r.optional("train_means", m))
 
 
@@ -298,16 +296,14 @@ def write_shapes_csv(shapes, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def export_shapes(model, out_dir, svg: bool = False, anchor: str = "zero",
-                  train_rows=None) -> Path:
+def export_shapes(model, out_dir, svg: bool = False) -> Path:
     """Emit shapes.csv (feature,point_index,x,u) and optionally one SVG
     line chart per feature.  Returns the CSV path."""
     if model.pl is None:
         raise PersistError("model has no piecewise-linear component")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shapes = extract_shapes(model.pl, model.points, anchor=anchor,
-                            train_rows=train_rows, names=model.feature_names)
+    shapes = extract_shapes(model.pl, model.points, names=model.feature_names)
     csv_path = out_dir / "shapes.csv"
     write_shapes_csv(shapes, csv_path)
     if svg:

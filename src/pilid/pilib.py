@@ -54,9 +54,10 @@ def pilib_loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     return loss_and_grads(model, X, y, config)
 
 
-def estimated_orders(gates: PilibGates, mode: str = "eval") -> np.ndarray:
-    """Per-block estimated interaction order: row sums of the gate matrix."""
-    return gate_values(gates, mode).sum(axis=1)
+def estimated_orders(gates: PilibGates) -> np.ndarray:
+    """Per-block estimated interaction order: row sums of the hard (eval
+    mode) gate matrix."""
+    return gate_values(gates, "eval").sum(axis=1)
 
 
 def active_feature_sets(model: PilidModel) -> list[list[int]]:
@@ -90,7 +91,7 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
             TEMPERATURE_FLOOR, TEMPERATURE_START * TEMPERATURE_DECAY ** epoch)
         phase1_trace.append(train_epoch(model, data, config, optimizer, epoch,
                                         f"phase 1, epoch {epoch + 1}"))
-        if estimated_orders(model.gates, "eval").max() <= K:
+        if estimated_orders(model.gates).max() <= K:
             capped = False
             break
     if capped:
@@ -110,7 +111,7 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
         "phase1_trace": phase1_trace,
         "phase2_trace": phase2_trace,
         "capped": capped,
-        "orders": estimated_orders(model.gates, "eval"),
+        "orders": estimated_orders(model.gates),
         "active_sets": active_feature_sets(model),
     }
     return model, diagnostics

@@ -190,22 +190,15 @@ def init_least_squares(rows: np.ndarray, targets: np.ndarray, ridge: float,
 
 
 def extract_shapes(params: PiecewiseLinearParams, points: CharacteristicPoints,
-                   anchor: str = "zero",
-                   train_rows: np.ndarray | None = None,
                    names: list[str] | None = None) -> list[FeatureShape]:
     """Read the per-feature shape curves out of the trained parameters.
 
     The increment over interval k of feature j is omega_j * (w_k + b_k): the
     output change when that unit's encoded entry goes 0 -> 1 (which also
     activates its bias).  The curve is the running sum over knots, anchored
-    at 0 on the first knot, or mean-centered over `train_rows` when
-    anchor="mean".
+    at 0 on the first knot.
     """
     _check_layout(params, points)
-    if anchor not in ("zero", "mean"):
-        raise LinearComponentError(f"unknown anchor {anchor!r}")
-    if anchor == "mean" and train_rows is None:
-        raise LinearComponentError("anchor='mean' requires train_rows")
     shapes = []
     for j in range(points.m):
         name = names[j] if names else f"x{j}"
@@ -216,8 +209,5 @@ def extract_shapes(params: PiecewiseLinearParams, points: CharacteristicPoints,
         o, g = points.offsets[j], points.gammas[j]
         delta = params.omega[j] * (params.w[o:o + g] + params.b[o:o + g])
         us = np.concatenate(([0.0], np.cumsum(delta)))
-        if anchor == "mean":
-            us = us - np.interp(np.clip(train_rows[:, j], xs[0], xs[-1]),
-                                xs, us).mean()
         shapes.append(FeatureShape(j, name, xs.copy(), us))
     return shapes

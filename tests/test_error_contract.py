@@ -2,9 +2,11 @@
 CSV, ends in exit code 1 and one `pilid: error:` line that names the file:
 never a traceback, a warning or a message without the path."""
 
+import hashlib
 import io
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pilid import dataset, metrics_eval, persist, trainer
 from pilid.cli import main
 
 N_ROWS = 30
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -36,7 +39,8 @@ def assert_one_error_naming(path, code, err, caught):
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """A small CSV, a PiLiD and a PiLiB model trained on it, and each
-    model's predictions on it."""
+    model's predictions on it; also the format 1 fixtures, each with the
+    CSV it predicts and its predictions, keyed `v1_pilid` and `v1_pilib`."""
     d = tmp_path_factory.mktemp("contract")
     data = d / "data.csv"
     assert run("synth", "--m", "2", "--n", N_ROWS, "--seed", 3,
@@ -48,10 +52,14 @@ def saved(tmp_path_factory):
                "--out", d / "pilib.plm")[0] == 0
     models, preds = {}, {}
     for variant in ("pilid", "pilib"):
-        models[variant] = (d / f"{variant}.plm").read_bytes()
+        models[variant] = (d / f"{variant}.plm").read_bytes(), data
         assert run("predict", "--model", d / f"{variant}.plm", "--data", data,
                    "--out", d / "p.csv")[0] == 0
         preds[variant] = (d / "p.csv").read_bytes()
+    for variant in ("v1_pilid", "v1_pilib"):
+        models[variant] = ((DATA / f"{variant}.plm").read_bytes(),
+                           DATA / "rows.csv")
+        preds[variant] = (DATA / f"{variant}.pred.csv").read_bytes()
     return d, data, models, preds
 
 
@@ -66,14 +74,15 @@ def damage(draw, size):
 
 
 class TestDamagedModelFile:
-    @given(variant=st.sampled_from(["pilid", "pilib"]), data=st.data())
-    @settings(max_examples=150, deadline=None)
+    @given(variant=st.sampled_from(["pilid", "pilib", "v1_pilid",
+                                    "v1_pilib"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
     def test_rejected_or_read_as_the_same_model(self, saved, variant, data):
-        d, csv_path, models, preds = saved
+        d, _, models, preds = saved
+        raw, csv_path = models[variant]
         model = d / "damaged.plm"
         out = d / "damaged_pred.csv"
-        model.write_bytes(data.draw(damage(len(models[variant])))(
-            models[variant]))
+        model.write_bytes(data.draw(damage(len(raw)))(raw))
         out.unlink(missing_ok=True)
         code, err, caught = run("predict", "--model", model,
                                 "--data", csv_path, "--out", out)
@@ -90,7 +99,7 @@ class TestDamagedModelFile:
     def test_invalid_utf8_names_the_file(self, saved, tmp_path):
         _, csv_path, models, _ = saved
         model = tmp_path / "bad.plm"
-        raw = bytearray(models["pilid"])
+        raw = bytearray(models["pilid"][0])
         raw[40] = 0xb9
         model.write_bytes(bytes(raw))
         code, err, caught = run("predict", "--model", model,
@@ -98,6 +107,89 @@ class TestDamagedModelFile:
         assert_one_error_naming(model, code, err, caught)
         assert err == (f"pilid: error: {model}: not a model file "
                        "(invalid UTF-8 at byte 40)\n")
+
+
+
+def with_line(fixture, key, edit, path):
+    """Fixture `fixture` with the first line of `key` replaced by
+    `edit(tokens)`, under a valid checksum, written to `path`."""
+    lines = (DATA / f"{fixture}.plm").read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+    lines[i] = " ".join(edit(lines[i].split()))
+    payload = "\n".join(lines[2:]) + "\n"
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    path.write_text(f"{lines[0]}\nchecksum {digest}\n{payload}",
+                    encoding="utf-8")
+    return path
+
+
+def float_keys(fixture):
+    """The keys of the fixture's lines that hold floats, each once."""
+    no_floats = {"pilid-model", "checksum", "variant", "task", "features",
+                 "name", "pl", "mlp", "blocks", "fingerprint"}
+    keys = []
+    for line in (DATA / f"{fixture}.plm").read_text().splitlines():
+        key, *values = line.split()
+        if not (key in no_floats or key in keys or values == ["none"]
+                or key.endswith(".meta") and key != "gates.meta"):
+            keys.append(key)
+    return keys
+
+
+FIXTURE_FLOAT_KEYS = [(f, k) for f in ("v1_pilid", "v1_pilib", "v2_pilid",
+                                       "v2_pilib") for k in float_keys(f)]
+
+
+class TestModelFileValues:
+    """A checksum-valid model file whose values the model cannot hold ends
+    in one error naming the file, and writes no predictions."""
+
+    def predict_fails(self, model, tmp_path, *message):
+        out = tmp_path / "p.csv"
+        code, err, caught = run("predict", "--model", model,
+                                "--data", DATA / "rows.csv", "--out", out)
+        assert_one_error_naming(model, code, err, caught)
+        for part in message:
+            assert part in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fixture,key", FIXTURE_FLOAT_KEYS,
+                             ids=[f"{f}-{k}" for f, k in FIXTURE_FLOAT_KEYS])
+    def test_non_finite_value_names_the_key(self, fixture, key, tmp_path):
+        # gates.meta ends in counts; its first value is the temperature
+        at = 1 if key == "gates.meta" else -1
+
+        def to_nan(tokens):
+            tokens[at] = "nan"
+            return tokens
+
+        model = with_line(fixture, key, to_nan, tmp_path / "m.plm")
+        self.predict_fails(model, tmp_path, f"non-finite value in '{key}'")
+
+    @pytest.mark.parametrize("fixture", ["v1_pilib", "v2_pilib"])
+    @pytest.mark.parametrize("at,value", [
+        (2, "0"), (1, (0.0).hex()), (1, (-1.0).hex()), (3, (-0.5).hex())],
+        ids=["K=0", "temperature=0", "temperature<0", "lambda0<0"])
+    def test_gate_settings_out_of_range(self, fixture, at, value, tmp_path):
+        def set_value(tokens):
+            tokens[at] = value
+            return tokens
+
+        model = with_line(fixture, "gates.meta", set_value,
+                          tmp_path / "m.plm")
+        self.predict_fails(model, tmp_path, "need K >= 1, lambda0 >= 0, "
+                                            "temperature > 0")
+
+    @pytest.mark.parametrize("fixture,key", [("v1_pilid", "mlp.W0"),
+                                             ("v2_pilib", "blk1.W0")])
+    def test_block_input_width_must_be_the_feature_count(self, fixture, key,
+                                                         tmp_path):
+        def two_columns(tokens):     # 4 x 3 weights become 4 x 2
+            return tokens[:2] + ["2"] + tokens[3:11]
+
+        model = with_line(fixture, key, two_columns, tmp_path / "m.plm")
+        self.predict_fails(model, tmp_path,
+                           f"'{key}' has 2 columns for 3 features")
 
 
 GARBAGE = ["", " ", "abc", "#", "#1", "1 2", '"', "--1", "0x1p3", "1e", "nan",
@@ -245,7 +337,7 @@ class TestTrialsConfig:
         def record(exp, n_trials):
             seen.append(exp)
             return metrics_eval.TrialReport(values=[0.0], mean=0.0, std=0.0,
-                                            seeds=[1], fingerprint="")
+                                            seeds=[1])
 
         monkeypatch.setattr(metrics_eval, "run_trials", record)
         cfg = tmp_path / "exp.cfg"

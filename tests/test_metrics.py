@@ -122,18 +122,15 @@ class TestRunTrials:
         assert len(report.values) == 3
         assert report.mean == pytest.approx(np.mean(report.values))
         assert report.std == pytest.approx(np.std(report.values, ddof=1))
-        assert not report.degenerate_std
 
     def test_single_trial_degenerate_std(self):
         report = run_trials(small_config(), 1)
         assert report.std == 0.0
-        assert report.degenerate_std
 
     def test_determinism(self):
         a = run_trials(small_config(), 2)
         b = run_trials(small_config(), 2)
         assert a.values == b.values
-        assert a.fingerprint == b.fingerprint
 
     def test_classification_reports_auc(self):
         report = run_trials(small_config(task="classification"), 1)
@@ -150,12 +147,6 @@ class TestRunTrials:
     def test_zero_trials_rejected(self):
         with pytest.raises(MetricsError):
             run_trials(small_config(), 0)
-
-    def test_fingerprint_sensitive_to_config(self):
-        a = small_config()
-        b = small_config()
-        b.gammas = 4
-        assert a.fingerprint() != b.fingerprint()
 
     def test_csv_round_numbers(self):
         report = run_trials(small_config(), 2)

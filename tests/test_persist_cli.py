@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from pilid.cli import main
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.persist import (
+    FORMAT_VERSION,
     PersistError,
     export_shapes,
     load,
@@ -17,6 +19,8 @@ from pilid.persist import (
 )
 from pilid.pilib import train_pilib
 from pilid.trainer import TrainConfig, model_forward, train
+
+DATA = Path(__file__).parent / "data"
 
 
 def toy_data(n=150, m=3, seed=0, task="regression"):
@@ -113,7 +117,8 @@ class TestCorruption:
         path = tmp_path / "model.plm"
         save(trained_model, path)
         lines = path.read_text().splitlines()
-        lines[5] = lines[5].replace("0", "1", 1)
+        i = next(i for i, line in enumerate(lines) if line.startswith("pl.w "))
+        lines[i] = lines[i].replace("0", "1", 1)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(PersistError, match="checksum"):
             load(path)
@@ -122,7 +127,7 @@ class TestCorruption:
         path = tmp_path / "model.plm"
         save(trained_model, path)
         lines = path.read_text().splitlines()
-        lines[0] = "pilid-model 2"
+        lines[0] = f"pilid-model {FORMAT_VERSION + 1}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(PersistError, match="version"):
             load(path)
@@ -142,7 +147,8 @@ class TestCorruption:
 
     def test_checksum_line_without_value(self, tmp_path):
         path = tmp_path / "nosum.plm"
-        path.write_text("pilid-model 1\nchecksum \nvariant pilid\n")
+        path.write_text(f"pilid-model {FORMAT_VERSION}\nchecksum \n"
+                        "task regression\n")
         with pytest.raises(PersistError, match=f"{path}: missing checksum"):
             load(path)
 
@@ -151,41 +157,55 @@ class TestCorruption:
             load(tmp_path / "absent.plm")
 
 
-def write_payload(path, payload_lines):
-    """A model file around `payload_lines` with a valid checksum."""
+def write_payload(path, payload_lines, version=FORMAT_VERSION):
+    """A model file of `version` around `payload_lines` with a valid
+    checksum."""
     payload = "\n".join(payload_lines) + "\n"
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    path.write_text(f"pilid-model 1\nchecksum {digest}\n{payload}",
+    path.write_text(f"pilid-model {version}\nchecksum {digest}\n{payload}",
                     encoding="utf-8")
 
 
+def saved_payload(variant, trained_model, path):
+    """The payload lines and format version of a model file: a PiLiD or
+    PiLiB model saved to `path`, or one of the format 1 fixtures."""
+    if variant.startswith("v1_"):
+        lines = (DATA / f"{variant}.plm").read_text(encoding="utf-8")
+        return lines.splitlines()[2:], 1
+    if variant == "pilid":
+        model = trained_model
+    else:
+        model, _ = train_pilib(toy_data(n=120, seed=4), 3, [4], 2, 3, 0.3,
+                               TrainConfig(epochs=1, batch_size=64, seed=2))
+    save(model, path, fingerprint="a run")
+    return path.read_text(encoding="utf-8").splitlines()[2:], FORMAT_VERSION
+
+
+VARIANTS = ["pilid", "pilib", "v1_pilid", "v1_pilib"]
+
+
 class TestValuelessKeys:
-    @pytest.mark.parametrize("variant", ["pilid", "pilib"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_key_without_values_is_rejected(self, variant,
                                                    trained_model, tmp_path):
-        if variant == "pilid":
-            model = trained_model
-        else:
-            model, _ = train_pilib(toy_data(n=120, seed=4), 3, [4], 2, 3, 0.3,
-                                   TrainConfig(epochs=1, batch_size=64, seed=2))
         path = tmp_path / "model.plm"
-        save(model, path, fingerprint="a run")
-        payload = path.read_text(encoding="utf-8").splitlines()[2:]
+        payload, version = saved_payload(variant, trained_model, path)
         # the fingerprint is free text that load does not read; empty is legal
         keyed = [i for i, line in enumerate(payload)
                  if not line.startswith("fingerprint ")]
         assert len(keyed) > 10
         for i in keyed:
             key = payload[i].split()[0]
-            write_payload(path, payload[:i] + [key] + payload[i + 1:])
+            write_payload(path, payload[:i] + [key] + payload[i + 1:],
+                          version)
             with pytest.raises(PersistError,
                                match=f"^{re.escape(str(path))}: malformed "
                                      f"model file: expected '{key}'"):
                 load(path)
 
     @pytest.mark.parametrize("payload", [
-        ["variant pilid", "task regression", "features abc"],
-        ["variant pilib", "task regression", "features 1", "name 0 a",
+        ["task regression", "features abc"],
+        ["task regression", "features 1", "name 0 a",
          "points 0 knots 0x0p+0 0x1p+0", "pl none", "blocks x"],
     ])
     def test_count_that_is_no_integer_names_the_file(self, payload,
@@ -196,18 +216,12 @@ class TestValuelessKeys:
                                                "invalid literal for int"):
             load(path)
 
-    @pytest.mark.parametrize("variant", ["pilid", "pilib"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("edit", ["one value removed", "one value added"])
     def test_every_key_with_a_wrong_value_count_is_rejected(
             self, variant, edit, trained_model, tmp_path):
-        if variant == "pilid":
-            model = trained_model
-        else:
-            model, _ = train_pilib(toy_data(n=120, seed=4), 3, [4], 2, 3, 0.3,
-                                   TrainConfig(epochs=1, batch_size=64, seed=2))
         path = tmp_path / "model.plm"
-        save(model, path, fingerprint="a run")
-        payload = path.read_text(encoding="utf-8").splitlines()[2:]
+        payload, version = saved_payload(variant, trained_model, path)
         keyed = [i for i, line in enumerate(payload)
                  if not line.startswith("fingerprint ")]
         for i in keyed:
@@ -217,7 +231,7 @@ class TestValuelessKeys:
             tokens = tokens[:-1] if edit == "one value removed" \
                 else tokens + [(2.0 ** 30).hex()]
             write_payload(path, payload[:i] + [" ".join(tokens)]
-                          + payload[i + 1:])
+                          + payload[i + 1:], version)
             # a knot count is not stated: the wide weights after it break
             named = "pl.w" if key == "points" else key
             with pytest.raises(PersistError,
@@ -228,7 +242,7 @@ class TestValuelessKeys:
     def test_bare_variant_line_through_predict(self, synth_csv, tmp_path,
                                                 capsys):
         model_path = tmp_path / "bare.plm"
-        write_payload(model_path, ["variant"])
+        write_payload(model_path, ["variant"], version=1)
         assert main(["predict", "--model", str(model_path),
                      "--data", str(synth_csv)]) == 1
         err = capsys.readouterr().err
@@ -242,7 +256,8 @@ class TestOneModelLayouts:
             self, trained_model, tmp_path):
         path = tmp_path / "model.plm"
         save(trained_model, path)
-        assert path.read_text().splitlines()[2] == "variant pilid"
+        lines = path.read_text().splitlines()
+        assert lines[2] == "task regression" and "gates.meta none" in lines
         loaded = load(path)
         assert loaded.gates is None and len(loaded.blocks) == 1
         np.testing.assert_array_equal(loaded.hard_gates, np.ones((1, 3)))
@@ -265,17 +280,56 @@ class TestOneModelLayouts:
                                                    f"blocks and 3 features"):
                 load(path)
 
-    def test_several_blocks_without_gate_logits_are_not_written(
-            self, trained_model, tmp_path):
-        two = dataclasses.replace(trained_model,
-                                  blocks=[trained_model.mlp] * 2,
-                                  hard_gates=np.ones((2, 3)))
-        with pytest.raises(PersistError, match="one block"):
-            save(two, tmp_path / "model.plm")
-        closed = dataclasses.replace(trained_model,
-                                     hard_gates=np.zeros((1, 3)))
-        with pytest.raises(PersistError, match="every gate open"):
-            save(closed, tmp_path / "model.plm")
+    @pytest.mark.parametrize("kind", ["pilid", "mlp_only", "hardened_pilib",
+                                      "relaxed_pilib", "two_blocks_no_logits",
+                                      "closed_block_no_logits", "no_blocks"])
+    def test_every_model_the_class_holds_round_trips(self, kind,
+                                                     trained_model, tmp_path):
+        assert_round_trip(model_of_kind(kind, trained_model),
+                          tmp_path / "model.plm")
+
+
+def model_of_kind(kind, pilid_model):
+    """One of the models the class holds, built from a trained PiLiD
+    model or trained anew."""
+    if kind == "pilid":
+        return pilid_model
+    if kind == "mlp_only":
+        return train(toy_data(), 3, [4], TrainConfig(epochs=1, seed=1),
+                     mlp_only=True)[0]
+    if kind == "two_blocks_no_logits":
+        other = train(toy_data(), 4, [5], TrainConfig(epochs=1, seed=2))[0]
+        return dataclasses.replace(pilid_model,
+                                   blocks=[pilid_model.mlp, other.mlp],
+                                   hard_gates=np.array([[1.0, 0.0, 1.0],
+                                                        [0.0, 1.0, 1.0]]))
+    if kind == "closed_block_no_logits":
+        return dataclasses.replace(pilid_model, hard_gates=np.zeros((1, 3)))
+    if kind == "no_blocks":
+        return dataclasses.replace(pilid_model, blocks=[], hard_gates=None)
+    model, _ = train_pilib(toy_data(n=200, seed=4), 3, [4], 3, 2, 0.3,
+                           TrainConfig(epochs=1, batch_size=64, seed=2))
+    if kind == "relaxed_pilib":
+        model.hard_gates = None
+    return model
+
+
+def assert_round_trip(model, path):
+    """`model` saves, loads as the same model with the same predictions
+    bit for bit, and saves again to the same bytes."""
+    save(model, path)
+    loaded = load(path)
+    X = np.random.default_rng(11).uniform(-0.5, 1.5, (60, model.m))
+    for a, b in zip(model_forward(model, X), model_forward(loaded, X)):
+        np.testing.assert_array_equal(a, b)
+    assert len(loaded.blocks) == len(model.blocks)
+    assert (loaded.gates is None) == (model.gates is None)
+    assert (loaded.hard_gates is None) == (model.hard_gates is None)
+    if model.hard_gates is not None:
+        np.testing.assert_array_equal(loaded.hard_gates, model.hard_gates)
+    again = path.with_suffix(".again")
+    save(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 class TestExports:

@@ -78,7 +78,7 @@ class TestGates:
     def test_estimated_orders_row_sums(self):
         g = PilibGates(log_alpha=np.array([[9.0, 9.0, -9.0], [-9.0, -9.0, -9.0]]),
                        temperature=0.1)
-        np.testing.assert_array_equal(estimated_orders(g, "eval"), [2.0, 0.0])
+        np.testing.assert_array_equal(estimated_orders(g), [2.0, 0.0])
 
     def test_bad_mode(self):
         g = PilibGates(log_alpha=np.zeros((1, 2)))

@@ -231,20 +231,6 @@ class TestExtractShapes:
                 expect = float(params.w0) + shapes[0].us[ka] + shapes[1].us[kb]
                 assert val == pytest.approx(expect, abs=1e-10)
 
-    def test_mean_anchor_centers_over_training_rows(self):
-        pts = grid_points([4])
-        params = random_params(pts, seed=13)
-        rows = np.random.default_rng(14).uniform(0, 1, (200, 1))
-        (shape,) = extract_shapes(params, pts, anchor="mean", train_rows=rows)
-        interp = np.interp(rows[:, 0], shape.xs, shape.us)
-        assert interp.mean() == pytest.approx(0.0, abs=1e-12)
-
-    def test_mean_anchor_requires_rows(self):
-        pts = grid_points([2])
-        params = random_params(pts, seed=15)
-        with pytest.raises(LinearComponentError):
-            extract_shapes(params, pts, anchor="mean")
-
     def test_constant_feature_flat_shape(self):
         pts = CharacteristicPoints(points=[np.array([5.0]), np.linspace(0, 1, 3)],
                                    constant=[True, False])
