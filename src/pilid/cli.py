@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from pathlib import Path
@@ -164,25 +165,29 @@ def _cmd_train_pilib(args) -> int:
         persist.write_loss_trace(diag["phase1_trace"] + diag["phase2_trace"],
                                  args.trace_out)
     if args.diagnostics_out:
-        lines = ["block,order,features"]
-        for i, feats in enumerate(diag["active_sets"]):
-            names = ";".join(model.feature_names[j] for j in feats)
-            lines.append(f"{i},{diag['orders'][i]:.0f},{names}")
-        Path(args.diagnostics_out).write_text("\n".join(lines) + "\n",
-                                              encoding="utf-8")
+        with open(args.diagnostics_out, "w", newline="",
+                  encoding="utf-8") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["block", "order", "features"])
+            for i, feats in enumerate(diag["active_sets"]):
+                out.writerow([i, f"{diag['orders'][i]:.0f}",
+                              ";".join(model.feature_names[j] for j in feats)])
     flag = " (phase-1 cap reached)" if diag["capped"] else ""
     print(f"model written to {args.out}; max interaction order "
           f"{diag['orders'].max():.0f}{flag}")
     return 0
 
 
-def _read_feature_matrix(path, model) -> np.ndarray:
+def _read_columns(path, model, target=None) -> np.ndarray:
+    """The model's feature columns of a CSV, found by name, then the
+    `target` column if one is given."""
+    names = model.feature_names + ([] if target is None else [target])
+
     def model_columns(header):
-        for name in model.feature_names:
+        for name in names:
             if name not in header:
-                raise CliError(f"{path}: column {name!r} required by the "
-                               "model is missing")
-        return [header.index(name) for name in model.feature_names]
+                raise CliError(f"{path}: column {name!r} is missing")
+        return [header.index(name) for name in names]
 
     _, mat = dataset.read_csv(path, model_columns)
     if len(mat) == 0:
@@ -192,7 +197,7 @@ def _read_feature_matrix(path, model) -> np.ndarray:
 
 def _cmd_predict(args) -> int:
     model = persist.load(args.model)
-    rows = _read_feature_matrix(args.data, model)
+    rows = _read_columns(args.data, model)
     _, preds = trainer.model_forward(model, rows)
     text = "\n".join(["prediction", *map(repr, preds.tolist())]) + "\n"
     if args.out:
@@ -206,8 +211,16 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = persist.load(args.model)
-    data = dataset.load_csv(args.data, args.target, model.task)
-    name, value = metrics_eval.evaluate(model, data)
+    if args.target in model.feature_names:
+        raise CliError(f"{args.model}: target column {args.target!r} is one "
+                       "of the model's features")
+    mat = _read_columns(args.data, model, args.target)
+    targets = mat[:, -1]
+    try:
+        dataset.check_targets(targets, model.task)
+    except dataset.DatasetError as exc:
+        raise CliError(f"{args.data}: column {args.target!r}: {exc}") from None
+    name, value = metrics_eval.evaluate(model, mat[:, :-1], targets)
     print(f"{name} {value:.6f}")
     return 0
 
@@ -297,7 +310,10 @@ def _cmd_trials(args) -> int:
 
 def _cmd_export_shapes(args) -> int:
     model = persist.load(args.model)
-    csv_path = persist.export_shapes(model, args.out_dir, svg=args.svg)
+    try:
+        csv_path = persist.export_shapes(model, args.out_dir, svg=args.svg)
+    except persist.PersistError as exc:
+        raise CliError(f"{args.model}: {exc}") from None
     print(f"shapes written to {csv_path}")
     return 0
 
@@ -305,7 +321,8 @@ def _cmd_export_shapes(args) -> int:
 def _cmd_export_interactions(args) -> int:
     model = persist.load(args.model)
     if model.gates is None:
-        raise CliError("export-interactions needs a gated-block model")
+        raise CliError(f"{args.model}: export-interactions needs a "
+                       "gated-block model")
     try:
         a, b = (int(t) for t in args.features.split(","))
     except ValueError:

@@ -1,4 +1,8 @@
-"""CSV ingestion, feature-kind inference, deterministic splits and mini-batches."""
+"""CSV ingestion, feature-kind inference, deterministic splits and mini-batches.
+
+A dataset records each feature's name and kind only; the knots over a
+feature's range come from the training rows (`encoding.build_points`).
+"""
 
 from __future__ import annotations
 
@@ -22,32 +26,15 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Per-feature description of the observed value scale.
-
-    Numerical features carry the observed [alpha, beta] range; categorical
-    features carry their sorted distinct level values (pre-coded as reals).
-    """
+    """A feature's name and kind: numerical, or categorical with its levels
+    pre-coded as reals.  Its knots come from the rows it is encoded on
+    (`encoding.build_points`)."""
 
     name: str
     kind: str  # "numerical" | "categorical"
-    alpha: float = 0.0
-    beta: float = 0.0
-    levels: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "numerical":
-            if not self.alpha <= self.beta:
-                raise DatasetError(
-                    f"feature {self.name!r}: alpha {self.alpha} > beta {self.beta}"
-                )
-        elif self.kind == "categorical":
-            if len(self.levels) == 0:
-                raise DatasetError(f"feature {self.name!r}: empty level set")
-            if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
-                raise DatasetError(
-                    f"feature {self.name!r}: levels must be strictly increasing"
-                )
-        else:
+        if self.kind not in ("numerical", "categorical"):
             raise DatasetError(f"feature {self.name!r}: unknown kind {self.kind!r}")
 
 
@@ -71,8 +58,7 @@ class Dataset:
             raise DatasetError("one FeatureSpec required per column")
         if self.task not in TASKS:
             raise DatasetError(f"unknown task {self.task!r}")
-        if self.task == CLASSIFICATION and not np.isin(targets, (0.0, 1.0)).all():
-            raise DatasetError("classification targets must be 0 or 1")
+        check_targets(targets, self.task)
         rows.flags.writeable = False
         targets.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -91,27 +77,23 @@ class Dataset:
         return [s.name for s in self.specs]
 
 
-def _is_integral(values: np.ndarray) -> bool:
-    return bool(np.all(values == np.round(values)))
+def check_targets(targets: np.ndarray, task: str) -> None:
+    """Raise DatasetError unless every classification target is 0 or 1."""
+    if task == CLASSIFICATION and not np.isin(targets, (0.0, 1.0)).all():
+        raise DatasetError("classification targets must be 0 or 1")
 
 
-def infer_spec(name: str, column: np.ndarray,
-               kind: str | None = None) -> FeatureSpec:
+def infer_spec(name: str, column: np.ndarray) -> FeatureSpec:
     """Infer a FeatureSpec from observed column values.
 
-    A column counts as categorical when it has at most
-    CATEGORICAL_THRESHOLD distinct values and all of them are integer
-    codes; anything else is numerical.  `kind` forces the decision (a
-    fixed train-split kind).
+    A column counts as categorical when all its values are integer codes
+    and at most CATEGORICAL_THRESHOLD of them are distinct; anything else
+    is numerical, and is never sorted.
     """
-    uniq = np.unique(column)
-    if kind is None:
-        kind = "categorical" if (len(uniq) <= CATEGORICAL_THRESHOLD
-                                 and _is_integral(uniq)) else "numerical"
-    if kind == "categorical":
-        return FeatureSpec(name=name, kind="categorical", levels=tuple(uniq))
-    return FeatureSpec(name=name, kind="numerical",
-                       alpha=float(uniq[0]), beta=float(uniq[-1]))
+    few_codes = (np.all(column == np.round(column)) and
+                 len(np.unique(column)) <= CATEGORICAL_THRESHOLD)
+    return FeatureSpec(name=name,
+                       kind="categorical" if few_codes else "numerical")
 
 
 def check_header(names: list[str], path) -> None:
@@ -292,13 +274,6 @@ def load_csv(path, target_column: str, task: str) -> Dataset:
     return Dataset(rows=rows, targets=targets, specs=specs, task=task)
 
 
-def _respec(data_rows: np.ndarray, specs: list[FeatureSpec]) -> list[FeatureSpec]:
-    # Recompute value-scale statistics on the given rows, keeping each
-    # feature's kind fixed.
-    return [infer_spec(s.name, data_rows[:, j], kind=s.kind)
-            for j, s in enumerate(specs)]
-
-
 def train_size(n: int, train_fraction: float) -> int:
     """How many of n rows `split` puts on the train side; both sides must
     keep a row."""
@@ -312,21 +287,17 @@ def train_size(n: int, train_fraction: float) -> int:
 
 
 def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled partition into (train, test).
-
-    Feature statistics of BOTH halves are recomputed on the train half so
-    downstream encoding never leaks test-set scale information.
-    """
+    """Deterministic shuffled partition into (train, test), both with the
+    specs of `data`.  A model builds its knots from the rows it trains on,
+    so the test half never shapes them; encoding clamps test values that
+    fall outside."""
     n_train = train_size(data.n, train_fraction)
     perm = np.random.default_rng(seed).permutation(data.n)
     tr, te = perm[:n_train], perm[n_train:]
-    train_rows = data.rows[tr]
-    specs = _respec(train_rows, data.specs)
-    train = Dataset(rows=train_rows, targets=data.targets[tr],
-                    specs=specs, task=data.task)
-    # Test rows may contain levels/values unseen in training; encoding clamps.
+    train = Dataset(rows=data.rows[tr], targets=data.targets[tr],
+                    specs=data.specs, task=data.task)
     test = Dataset(rows=data.rows[te], targets=data.targets[te],
-                   specs=specs, task=data.task)
+                   specs=data.specs, task=data.task)
     return train, test
 
 

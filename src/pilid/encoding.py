@@ -1,9 +1,10 @@
 """Characteristic points and the widened piecewise-linear input encoding.
 
-Each feature j gets gamma_j+1 ordered knots over its observed scale and
-occupies gamma_j entries of the encoded vector.  An encoded block reads
-ones up to the interval containing x_j, then one fractional entry, then
-zeros, so the encoding is monotone and continuous in every coordinate.
+Each feature j gets gamma_j+1 ordered knots over the range of the rows a
+model trains on, and occupies gamma_j entries of the encoded vector.  An
+encoded block reads ones up to the interval containing x_j, then one
+fractional entry, then zeros, so the encoding is monotone and continuous
+in every coordinate.
 """
 
 from __future__ import annotations
@@ -79,22 +80,23 @@ class CharacteristicPoints:
         return int(self.gammas.sum())
 
 
-def _points_for_spec(spec: FeatureSpec, gamma: int) -> tuple[np.ndarray, bool]:
+def _knots(spec: FeatureSpec, column: np.ndarray, gamma: int) -> np.ndarray:
+    """A feature's knots over the values of its column."""
     if spec.kind == "categorical":
-        levels = np.asarray(spec.levels, dtype=np.float64)
-        if len(levels) == 1:
-            return levels.copy(), True
-        return levels.copy(), False
-    if spec.alpha == spec.beta:
-        return np.array([spec.alpha]), True
+        return np.unique(column)
+    lo, hi = column.min(), column.max()
+    if lo == hi:
+        return np.array([lo])
     if gamma < 1:
         raise EncodingError(f"feature {spec.name!r}: gamma must be >= 1, got {gamma}")
-    return np.linspace(spec.alpha, spec.beta, gamma + 1), False
+    return np.linspace(lo, hi, gamma + 1)
 
 
 def build_points(data: Dataset, gammas) -> CharacteristicPoints:
-    """Build knots: gamma_j equal sub-intervals over [alpha_j, beta_j] for
-    numerical features, the sorted levels for categorical ones.
+    """Build knots from the rows of `data`: gamma_j equal sub-intervals
+    from the least to the greatest value of a numerical column, the sorted
+    distinct values of a categorical one, and a single knot for a column
+    of one distinct value (a constant feature).
 
     `gammas` is a single int or one int per feature (ignored for
     categoricals, whose gamma is the level count minus one).
@@ -103,14 +105,13 @@ def build_points(data: Dataset, gammas) -> CharacteristicPoints:
         gammas = [int(gammas)] * data.m
     if len(gammas) != data.m:
         raise EncodingError(f"need {data.m} gammas, got {len(gammas)}")
-    points, constant = [], []
-    for spec, g in zip(data.specs, gammas):
-        p, const = _points_for_spec(spec, int(g))
+    points = [_knots(spec, data.rows[:, j], int(g))
+              for j, (spec, g) in enumerate(zip(data.specs, gammas))]
+    constant = [len(p) == 1 for p in points]
+    for spec, const in zip(data.specs, constant):
         if const:
             warnings.warn(f"feature {spec.name!r} is constant; "
                           "it will be encoded as zeros and report a flat shape")
-        points.append(p)
-        constant.append(const)
     return CharacteristicPoints(points=points, constant=constant)
 
 

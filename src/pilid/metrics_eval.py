@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pilid.dataset import Dataset, CLASSIFICATION, split
+from pilid.dataset import CLASSIFICATION, split
 from pilid.pl_component import extract_shapes
 from pilid.synth import (SyntheticSpec, generate, planted_interactions,
                          shape_recovery_score)
@@ -56,13 +56,13 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
                  / (n_pos * n_neg))
 
 
-def evaluate(model, data: Dataset) -> tuple[str, float]:
-    """The model's metric on labelled data, by name: the AUC of the scores
+def evaluate(model, rows: np.ndarray, targets: np.ndarray) -> tuple[str, float]:
+    """The model's metric on labelled rows, by name: the AUC of the scores
     for classification, the MSE of the predictions for regression."""
-    scores, preds = trainer.model_forward(model, data.rows)
-    if data.task == CLASSIFICATION:
-        return "auc", auc(scores, data.targets)
-    return "mse", mse(preds, data.targets)
+    scores, preds = trainer.model_forward(model, rows)
+    if model.task == CLASSIFICATION:
+        return "auc", auc(scores, targets)
+    return "mse", mse(preds, targets)
 
 
 @dataclass
@@ -153,7 +153,7 @@ def _run_one_trial(config: ExperimentConfig, seed: int) -> tuple[float, dict]:
                   zip(extract_shapes(model.pl, model.points), truth)]
         details.update(shape_min=float(np.min(scores)),
                        shape_mean=float(np.mean(scores)))
-    return evaluate(model, test_set)[1], details
+    return evaluate(model, test_set.rows, test_set.targets)[1], details
 
 
 def run_trials(config: ExperimentConfig, n_trials: int) -> TrialReport:

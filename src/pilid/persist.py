@@ -239,6 +239,9 @@ def _read_model(r: _Reader, v1: bool) -> PilidModel:
             log_alpha=r.floats("gates.log_alpha", B * m).reshape(B, m),
             temperature=temperature, K=int(K), lambda0=lambda0)
     hard = r.optional("hard_gates", B * m)
+    if hard is not None and not np.isin(hard, (0.0, 1.0)).all():
+        raise PersistError("malformed model file: 'hard_gates' holds a "
+                           "value other than 0 and 1")
     return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
                       feature_names=names, gates=gates,
                       hard_gates=None if hard is None else hard.reshape(B, m),
@@ -264,6 +267,7 @@ def _shape_svg(shape, width=480, height=320, margin=48) -> str:
     def sy(u):
         return height - margin - (u - u_lo) / (u_hi - u_lo) * (height - 2 * margin)
     pts = " ".join(f"{sx(x):.2f},{sy(u):.2f}" for x, u in zip(xs, us))
+    title = shape.name.replace("&", "&amp;").replace("<", "&lt;")
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}">\n'
@@ -273,7 +277,7 @@ def _shape_svg(shape, width=480, height=320, margin=48) -> str:
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>\n'
         f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-size="14">{shape.name}</text>\n'
+        f'font-size="14">{title}</text>\n'
         f'<text x="{width - margin}" y="{height - margin + 16}" '
         f'text-anchor="end" font-size="10">{x_hi:.4g}</text>\n'
         f'<text x="{margin}" y="{height - margin + 16}" '

@@ -140,8 +140,7 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, list[FeatureShape]]:
     else:
         raise SynthError(f"unknown task {spec.task!r}")
 
-    specs = [FeatureSpec(name=f"x{j + 1}", kind="numerical",
-                         alpha=float(X[:, j].min()), beta=float(X[:, j].max()))
+    specs = [FeatureSpec(name=f"x{j + 1}", kind="numerical")
              for j in range(spec.m)]
     data = Dataset(rows=X, targets=targets, specs=specs, task=task)
     grid = np.linspace(0.0, 1.0, TRUTH_GRID)

@@ -51,8 +51,8 @@ def test_predict_writes_what_the_benchmark_reads(tmp_path):
     # compares their digest across rounds and with in-memory predictions.
     inputs = bench_module("inputs")
     X, y = inputs.draw(400, 11, 0)
-    specs = [dataset.infer_spec(name, X[:, j], kind="numerical")
-             for j, name in enumerate(inputs.FEATURE_NAMES)]
+    specs = [dataset.FeatureSpec(name, "numerical")
+             for name in inputs.FEATURE_NAMES]
     model, _ = trainer.train(dataset.Dataset(rows=X, targets=y, specs=specs),
                              4, "6-1", trainer.TrainConfig(epochs=1, seed=2))
     persist.save(model, tmp_path / "model.plm")

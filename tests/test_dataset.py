@@ -10,6 +10,7 @@ from pilid.dataset import (
     load_csv,
     split,
 )
+from pilid.encoding import build_points
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -24,24 +25,8 @@ def make_dataset(n=10, m=3, seed=0, task="regression"):
     targets = rng.uniform(-1, 1, n)
     if task == "classification":
         targets = (targets > 0).astype(float)
-    specs = [FeatureSpec(name=f"x{j}", kind="numerical",
-                         alpha=float(rows[:, j].min()),
-                         beta=float(rows[:, j].max())) for j in range(m)]
+    specs = [FeatureSpec(name=f"x{j}", kind="numerical") for j in range(m)]
     return Dataset(rows=rows, targets=targets, specs=specs, task=task)
-
-
-class TestFeatureSpec:
-    def test_alpha_beta_ordering(self):
-        with pytest.raises(DatasetError):
-            FeatureSpec(name="a", kind="numerical", alpha=2.0, beta=1.0)
-
-    def test_levels_strictly_increasing(self):
-        with pytest.raises(DatasetError):
-            FeatureSpec(name="a", kind="categorical", levels=(1.0, 1.0, 2.0))
-
-    def test_empty_levels(self):
-        with pytest.raises(DatasetError):
-            FeatureSpec(name="a", kind="categorical", levels=())
 
 
 class TestLoadCsv:
@@ -56,8 +41,9 @@ class TestLoadCsv:
     def test_small_integer_column_is_categorical(self, tmp_path):
         p = write_csv(tmp_path, "a,y\n0,1.1\n1,2.2\n2,3.3\n0,4.4\n")
         data = load_csv(p, "y", "regression")
-        assert data.specs[0].kind == "categorical"
-        assert data.specs[0].levels == (0.0, 1.0, 2.0)
+        assert data.specs[0] == FeatureSpec("a", "categorical")
+        np.testing.assert_array_equal(build_points(data, 5).points[0],
+                                      [0.0, 1.0, 2.0])
 
     def test_unparseable_cell_names_row_and_column(self, tmp_path):
         p = write_csv(tmp_path, "a,y\n1.0,2.0\nabc,3.0\n")
@@ -138,13 +124,17 @@ class TestSplit:
         assert sorted(combined.tolist()) == sorted(data.targets.tolist())
         assert tr.n + te.n == data.n
 
-    def test_specs_come_from_train_half(self):
+    def test_knots_come_from_train_half(self):
         data = make_dataset(n=50, seed=2)
         tr, te = split(data, 0.8, seed=9)
-        for j, spec in enumerate(tr.specs):
-            assert spec.alpha == tr.rows[:, j].min()
-            assert spec.beta == tr.rows[:, j].max()
-        assert te.specs == tr.specs
+        assert tr.specs == te.specs == data.specs
+        points = build_points(tr, 4)
+        for j in range(tr.m):
+            assert points.points[j][0] == tr.rows[:, j].min()
+            assert points.points[j][-1] == tr.rows[:, j].max()
+        # some extreme of the whole dataset lies in the test half
+        assert not all(map(np.array_equal, points.points,
+                           build_points(data, 4).points))
 
 
 class TestBatches:

@@ -21,16 +21,8 @@ def unit_dataset(cols, kinds=None):
     names = list(cols)
     rows = np.column_stack([np.asarray(cols[k], dtype=float) for k in names])
     kinds = kinds or {}
-    specs = []
-    for j, name in enumerate(names):
-        kind = kinds.get(name, "numerical")
-        if kind == "categorical":
-            specs.append(FeatureSpec(name=name, kind="categorical",
-                                     levels=tuple(np.unique(rows[:, j]))))
-        else:
-            specs.append(FeatureSpec(name=name, kind="numerical",
-                                     alpha=rows[:, j].min(),
-                                     beta=rows[:, j].max()))
+    specs = [FeatureSpec(name=name, kind=kinds.get(name, "numerical"))
+             for name in names]
     return Dataset(rows=rows, targets=np.zeros(len(rows)), specs=specs)
 
 

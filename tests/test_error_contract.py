@@ -180,6 +180,18 @@ class TestModelFileValues:
         self.predict_fails(model, tmp_path, "need K >= 1, lambda0 >= 0, "
                                             "temperature > 0")
 
+    @pytest.mark.parametrize("fixture", ["v1_pilib", "v2_pilib"])
+    @pytest.mark.parametrize("at,value", [(1, -3.0), (5, 0.5)])
+    def test_hard_gates_other_than_0_and_1(self, fixture, at, value,
+                                           tmp_path):
+        def set_gate(tokens):
+            tokens[at] = value.hex()
+            return tokens
+
+        model = with_line(fixture, "hard_gates", set_gate, tmp_path / "m.plm")
+        self.predict_fails(model, tmp_path, "'hard_gates' holds a value "
+                                            "other than 0 and 1")
+
     @pytest.mark.parametrize("fixture,key", [("v1_pilid", "mlp.W0"),
                                              ("v2_pilib", "blk1.W0")])
     def test_block_input_width_must_be_the_feature_count(self, fixture, key,
@@ -294,6 +306,84 @@ class TestPredictReader:
             saved, "id,x2,x1\nfirst,0.2,0.1\nsecond,0.4,0.3\n", tmp_path)
         assert code == 0
         assert with_id.read_bytes() == plain.read_bytes()
+
+
+class TestEvalReader:
+    """`pilid eval` reads the model's features and the target by name."""
+
+    def metric(self, model, path, target="y"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["eval", "--model", str(model), "--data", str(path),
+                         "--target", target])
+        assert code == 0
+        return out.getvalue()
+
+    def test_reordered_and_extra_columns_give_the_same_metric(self, saved,
+                                                               tmp_path):
+        d, data, _, _ = saved
+        header, *body = data.read_text().splitlines()
+        assert header == "x1,x2,y"
+        moved = tmp_path / "moved.csv"
+        moved.write_text("id,y,x2,x1\n" + "".join(
+            f"row{k},{y},{x2},{x1}\n" for k, (x1, x2, y) in
+            enumerate(line.split(",") for line in body)))
+        metric = self.metric(d / "pilid.plm", data)
+        assert metric.startswith("mse ")
+        assert self.metric(d / "pilid.plm", moved) == metric
+
+    def test_missing_target_names_file_and_column(self, saved):
+        d, data, _, _ = saved
+        code, err, caught = run("eval", "--model", d / "pilid.plm",
+                                "--data", data, "--target", "z")
+        assert_one_error_naming(data, code, err, caught)
+        assert "'z'" in err
+
+    def test_target_that_is_a_model_feature_names_the_model(self, saved):
+        d, data, _, _ = saved
+        code, err, caught = run("eval", "--model", d / "pilid.plm",
+                                "--data", data, "--target", "x1")
+        assert_one_error_naming(d / "pilid.plm", code, err, caught)
+        assert "'x1'" in err
+
+    def test_classification_targets_must_be_0_or_1(self, tmp_path):
+        data = tmp_path / "clf.csv"
+        assert run("synth", "--m", "2", "--n", N_ROWS, "--task", "clf",
+                   "--out", data)[0] == 0
+        model = tmp_path / "clf.plm"
+        assert run("train", "--data", data, "--target", "y", "--task", "clf",
+                   "--epochs", 1, "--mlp", "4-1", "--out", model)[0] == 0
+        assert self.metric(model, data).startswith("auc ")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(data.read_text().replace(",1.0\n", ",2.0\n", 1))
+        code, err, caught = run("eval", "--model", model, "--data", bad,
+                                "--target", "y")
+        assert_one_error_naming(bad, code, err, caught)
+        assert "must be 0 or 1" in err
+
+
+class TestModelKind:
+    """An export the model cannot give ends in one error naming the model
+    file."""
+
+    def test_export_shapes_of_an_mlp_only_model(self, saved, tmp_path):
+        _, data, _, _ = saved
+        model = tmp_path / "mlp.plm"
+        assert run("train", "--data", data, "--target", "y", "--epochs", 1,
+                   "--mlp", "4-1", "--mlp-only", "--out", model)[0] == 0
+        code, err, caught = run("export-shapes", "--model", model,
+                                "--out-dir", tmp_path / "shapes")
+        assert_one_error_naming(model, code, err, caught)
+        assert "no piecewise-linear component" in err
+
+    def test_export_interactions_of_a_pilid_model(self, tmp_path):
+        model = DATA / "v2_pilid.plm"
+        out = tmp_path / "surface.csv"
+        code, err, caught = run("export-interactions", "--model", model,
+                                "--features", "0,1", "--out", out)
+        assert_one_error_naming(model, code, err, caught)
+        assert "needs a gated-block model" in err
+        assert not out.exists()
 
 
 class TestTrialsConfig:

@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import hashlib
 import re
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from pilid.persist import (
     save,
     write_loss_trace,
 )
-from pilid.pilib import train_pilib
+from pilid.pilib import active_feature_sets, train_pilib
 from pilid.trainer import TrainConfig, model_forward, train
 
 DATA = Path(__file__).parent / "data"
@@ -29,8 +31,7 @@ def toy_data(n=150, m=3, seed=0, task="regression"):
     y = np.sin(3 * rows[:, 0]) + rows[:, 1] ** 2 + 0.05 * rng.normal(0, 1, n)
     if task == "classification":
         y = (y > np.median(y)).astype(float)
-    specs = [FeatureSpec(name=f"f{j}", kind="numerical",
-                         alpha=rows[:, j].min(), beta=rows[:, j].max())
+    specs = [FeatureSpec(name=f"f{j}", kind="numerical")
              for j in range(m)]
     return Dataset(rows=rows, targets=y, specs=specs, task=task)
 
@@ -60,10 +61,8 @@ class TestRoundTrip:
 
     def test_awkward_names_round_trip(self, tmp_path):
         data = toy_data(m=2)
-        specs = [FeatureSpec(name='a b,"c"\n', kind="numerical",
-                             alpha=0.0, beta=1.0),
-                 FeatureSpec(name="ünïcode", kind="numerical",
-                             alpha=0.0, beta=1.0)]
+        specs = [FeatureSpec(name='a b,"c"\n', kind="numerical"),
+                 FeatureSpec(name="ünïcode", kind="numerical")]
         data = Dataset(rows=data.rows[:, :2], targets=data.targets,
                        specs=specs)
         model, _ = train(data, 3, [4], TrainConfig(epochs=1, seed=1))
@@ -353,6 +352,18 @@ class TestExports:
             svg = (tmp_path / f"shape_{j}.svg").read_text()
             assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_svg_escapes_feature_names(self, tmp_path):
+        names = ["c<d", "a&b \"q\" 'r' >"]
+        data = toy_data(m=2)
+        data = Dataset(rows=data.rows, targets=data.targets,
+                       specs=[FeatureSpec(n, "numerical") for n in names])
+        model, _ = train(data, 3, [4], TrainConfig(epochs=1, seed=1))
+        export_shapes(model, tmp_path, svg=True)
+        for j, name in enumerate(names):
+            root = ET.parse(tmp_path / f"shape_{j}.svg").getroot()
+            title = next(root.iter("{http://www.w3.org/2000/svg}text"))
+            assert title.text == name
+
     def test_loss_trace_format(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_loss_trace([0.5, 0.25], path)
@@ -572,6 +583,29 @@ class TestCli:
                        "--out", str(surf_path)) == 0
         surf_lines = surf_path.read_text().strip().splitlines()
         assert len(surf_lines) == 6    # header + 5 grid rows
+
+    def test_diagnostics_csv_reads_back_awkward_names(self, tmp_path):
+        names = ["a,b", 'c "d"', "e"]
+        rng = np.random.default_rng(1)
+        rows = rng.uniform(0, 1, (200, 3))
+        y = rows[:, 0] * rows[:, 1] + rows[:, 2]
+        csv_path = tmp_path / "named.csv"
+        with open(csv_path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(names + ["y"])
+            out.writerows(np.column_stack([rows, y]).tolist())
+        model_path, diag_path = tmp_path / "m.plm", tmp_path / "diag.csv"
+        assert run_cli("train-pilib", "--data", str(csv_path), "--target", "y",
+                       "--epochs", "2", "--mlp", "4-1", "--blocks", "3",
+                       "--lambda0", "0", "--out", str(model_path),
+                       "--diagnostics-out", str(diag_path)) == 0
+        with open(diag_path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        sets = active_feature_sets(load(model_path))
+        assert any(len(s) > 1 for s in sets)
+        assert table == [["block", "order", "features"]] + [
+            [str(i), str(len(s)), ";".join(names[j] for j in s)]
+            for i, s in enumerate(sets)]
 
     def test_trials_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

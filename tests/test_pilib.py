@@ -12,9 +12,7 @@ from pilid.trainer import (
     TrainingError,
     gate_values,
     lk_penalty,
-    loss_and_grads,
     model_forward,
-    param_arrays,
 )
 from pilid import pilib
 from pilid.pilib import (
@@ -31,8 +29,7 @@ def interaction_data(n=1500, m=8, seed=0, c=1.0, pair=None):
     rows = rng.uniform(0, 1, (n, m))
     y = rows[:, 0] - 0.5 * rows[:, 2] + c * rows[:, pair[0]] * rows[:, pair[1]]
     y = y + 0.05 * rng.normal(0, 1, n)
-    specs = [FeatureSpec(name=f"x{j}", kind="numerical",
-                         alpha=rows[:, j].min(), beta=rows[:, j].max())
+    specs = [FeatureSpec(name=f"x{j}", kind="numerical")
              for j in range(m)]
     return Dataset(rows=rows, targets=y, specs=specs)
 
@@ -163,57 +160,6 @@ class TestForward:
         model = manual_pilib(clf, B=1)
         score, pred = model_forward(model, clf.rows[:10])
         np.testing.assert_allclose(pred, 1 / (1 + np.exp(-score)), atol=1e-12)
-
-
-class TestGatedGradients:
-    """Finite differences of the gated-block loss in both gate states."""
-
-    def _model(self):
-        data = interaction_data(n=40, m=4, seed=5)
-        model = manual_pilib(data, B=3, hidden=(5,), seed=2)
-        for blk in model.blocks:
-            blk.activation = "tanh"
-        # relaxed gates strictly inside (0, 1), one block clearly largest
-        model.gates.log_alpha = np.array([[1.5, 1.2, 0.9, 1.4],
-                                          [0.3, -0.4, 0.6, -0.2],
-                                          [-0.5, 0.8, 0.1, 0.4]])
-        model.gates.temperature = 1.0
-        model.gates.K = 2
-        return model, data
-
-    def _check(self, model, data, cfg):
-        params = param_arrays(model)
-        _, grads = loss_and_grads(model, data.rows, data.targets, cfg)
-        h = 1e-6
-        for name, arr in params.items():
-            flat = arr.reshape(-1)
-            for i in range(min(flat.size, 6)):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_and_grads(model, data.rows, data.targets, cfg)[0]
-                flat[i] = orig - h
-                dn = loss_and_grads(model, data.rows, data.targets, cfg)[0]
-                flat[i] = orig
-                fd = (up - dn) / (2 * h)
-                g = float(grads[name].reshape(-1)[i])
-                rel = abs(g - fd) / max(abs(g), abs(fd), 1e-4)
-                assert rel < 1e-4, f"{name}[{i}]: {g} vs {fd}"
-
-    def test_relaxed_gates_with_order_penalty(self):
-        model, data = self._model()
-        relaxed = gate_values(model.gates, "train")
-        assert np.all((relaxed > 0.0) & (relaxed < 1.0))
-        assert relaxed.sum(axis=1).max() > model.gates.K   # max term active
-        assert "gates.log_alpha" in param_arrays(model)
-        self._check(model, data, TrainConfig(lam=0.01, reg="l2"))
-
-    def test_frozen_hard_gates(self):
-        model, data = self._model()
-        model.hard_gates = np.array([[1.0, 1.0, 0.0, 1.0],
-                                     [0.0, 1.0, 1.0, 0.0],
-                                     [1.0, 0.0, 0.0, 0.0]])
-        assert "gates.log_alpha" not in param_arrays(model)
-        self._check(model, data, TrainConfig(lam=0.01, reg="l2"))
 
 
 @pytest.fixture(scope="module")

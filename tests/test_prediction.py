@@ -155,10 +155,9 @@ def layout_data(n=300, seed=0):
     rows = np.column_stack([rng.uniform(-1, 2, n), rng.choice(levels, n),
                             np.full(n, 4.0)])
     y = np.sin(2 * rows[:, 0]) + 0.3 * rows[:, 1] + 0.05 * rng.normal(0, 1, n)
-    specs = [FeatureSpec("num", "numerical", alpha=rows[:, 0].min(),
-                         beta=rows[:, 0].max()),
-             FeatureSpec("cat", "categorical", levels=levels),
-             FeatureSpec("const", "numerical", alpha=4.0, beta=4.0)]
+    specs = [FeatureSpec("num", "numerical"),
+             FeatureSpec("cat", "categorical"),
+             FeatureSpec("const", "numerical")]
     return Dataset(rows=rows, targets=y, specs=specs)
 
 

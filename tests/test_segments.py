@@ -109,8 +109,7 @@ def wide_data(n, seed=0):
     rows = rng.uniform(0, 1, (n, 3))
     y = np.sin(3 * rows[:, 0]) + rows[:, 1] * rows[:, 2] \
         + 0.05 * rng.normal(0, 1, n)
-    specs = [FeatureSpec(name=f"x{j}", kind="numerical",
-                         alpha=rows[:, j].min(), beta=rows[:, j].max())
+    specs = [FeatureSpec(name=f"x{j}", kind="numerical")
              for j in range(3)]
     return Dataset(rows=rows, targets=y, specs=specs)
 
