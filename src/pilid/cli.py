@@ -174,7 +174,7 @@ def _cmd_train_pilib(args) -> int:
                               ";".join(model.feature_names[j] for j in feats)])
     flag = " (phase-1 cap reached)" if diag["capped"] else ""
     print(f"model written to {args.out}; max interaction order "
-          f"{diag['orders'].max():.0f}{flag}")
+          f"{diag['orders'].max(initial=0):.0f}{flag}")
     return 0
 
 
@@ -407,6 +407,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError, RuntimeError) as exc:
         print(f"pilid: error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:     # an output path that cannot be written
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"pilid: error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -254,6 +254,12 @@ def write_loss_trace(trace: list[float], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# The C0 controls other than tab, LF and CR may not appear in XML 1.0,
+# even escaped; a feature name's are shown as U+FFFD in a chart's title.
+_XML_TEXT = {c: "\ufffd" for c in range(0x20) if chr(c) not in "\t\n\r"}
+_XML_TEXT.update({ord("&"): "&amp;", ord("<"): "&lt;"})
+
+
 def _shape_svg(shape, width=480, height=320, margin=48) -> str:
     xs, us = shape.xs, shape.us
     x_lo, x_hi = float(xs[0]), float(xs[-1])
@@ -267,7 +273,7 @@ def _shape_svg(shape, width=480, height=320, margin=48) -> str:
     def sy(u):
         return height - margin - (u - u_lo) / (u_hi - u_lo) * (height - 2 * margin)
     pts = " ".join(f"{sx(x):.2f},{sy(u):.2f}" for x, u in zip(xs, us))
-    title = shape.name.replace("&", "&amp;").replace("<", "&lt;")
+    title = shape.name.translate(_XML_TEXT)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}">\n'

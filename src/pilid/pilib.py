@@ -7,7 +7,10 @@ feature j is zero is exactly invariant to that feature.  A penalty on the
 per-block gate sums caps the maximum interaction order at K and pushes
 active blocks toward pairwise interactions.  Training is two-phase: learn
 the gates under the order penalty, then freeze them hard and fine-tune
-everything else, both through `trainer.train_epoch`.
+everything else, both through `trainer.train_epoch`.  Between the phases
+every block whose hard gates are all closed is dropped: it sees an
+all-zero input, so its output is one constant, which moves into the wide
+component's w0.  A trained model therefore holds only open blocks.
 """
 
 from __future__ import annotations
@@ -65,6 +68,22 @@ def active_feature_sets(model: PilidModel) -> list[list[int]]:
     return [list(np.flatnonzero(G[i]).astype(int)) for i in range(G.shape[0])]
 
 
+def drop_closed_blocks(model: PilidModel) -> None:
+    """Remove, in place, the blocks of a gated model with hard gates whose
+    gates are all 0, adding each one's output on a zero row to the wide
+    component's w0, so that the model's scores stay the same up to
+    rounding.  The open blocks keep their order, their hard gate rows and
+    their gate logits."""
+    is_open = model.hard_gates.any(axis=1)
+    zero = np.zeros((1, model.m))
+    for block, keep in zip(model.blocks, is_open):
+        if not keep:
+            model.pl.w0 += mlp_predict(zero, block)[0]
+    model.blocks = [b for b, keep in zip(model.blocks, is_open) if keep]
+    model.hard_gates = model.hard_gates[is_open]
+    model.gates.log_alpha = model.gates.log_alpha[is_open]
+
+
 def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
                 lambda0: float, config: TrainConfig,
                 activation: str = "relu"):
@@ -74,8 +93,10 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
     penalty, annealing the gate temperature each epoch, until the eval-mode
     maximum order is <= K (or the epoch cap is hit, which raises the
     `capped` flag in the diagnostics).  Phase 2 freezes the hardened gates,
-    warm-starts from the phase-1 parameters and fine-tunes with standard
-    regularization for config.epochs.
+    drops the closed blocks (`drop_closed_blocks`), warm-starts from the
+    phase-1 parameters and fine-tunes the rest with standard regularization
+    for config.epochs.  The diagnostics' `orders` and `active_sets`
+    describe the returned model's blocks, of which there may be none.
     """
     if B < 1 or K < 1 or lambda0 < 0:
         raise TrainingError("need B >= 1, K >= 1, lambda0 >= 0")
@@ -99,9 +120,10 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
         warnings.warn(f"phase 1 hit the {PHASE1_EPOCH_CAP}-epoch cap without "
                       f"satisfying max order <= {K}")
 
-    # phase 2: freeze hardened gates, fine-tune everything else, packed
-    # anew without the gate logits
+    # phase 2: freeze hardened gates, drop the closed blocks, fine-tune
+    # everything else, packed anew without the gate logits
     model.hard_gates = gate_values(model.gates, "eval")
+    drop_closed_blocks(model)
     optimizer = Adam(pack(model).flat, config)
     phase2_trace = [train_epoch(model, data, config, optimizer, 10_000 + epoch,
                                 f"phase 2, epoch {epoch + 1}")
@@ -122,7 +144,9 @@ def interaction_surface(model: PilidModel, features: tuple[int, int],
     """Grid evaluation of the block-sum restricted to blocks whose active
     feature set is contained in {a, b}, for two different features and
     grid >= 2 points per axis; other features sit at the training means.
-    Returns (xs_a, xs_b, surface)."""
+    A model from `train_pilib` has no closed block, so the surface holds
+    no closed block's constant (that is part of w0).  Returns (xs_a, xs_b,
+    surface)."""
     a, b = features
     if not (0 <= a < model.m and 0 <= b < model.m):
         raise TrainingError(f"feature index out of range: {features}")

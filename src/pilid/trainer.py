@@ -104,8 +104,8 @@ class PilibGates:
 
     def __post_init__(self):
         self.log_alpha = np.asarray(self.log_alpha, dtype=np.float64)
-        if self.log_alpha.ndim != 2 or self.log_alpha.shape[0] < 1:
-            raise TrainingError("log_alpha must be a B x m matrix, B >= 1")
+        if self.log_alpha.ndim != 2:
+            raise TrainingError("log_alpha must be a B x m matrix")
         if self.K < 1 or self.lambda0 < 0 or self.temperature <= 0:
             raise TrainingError("need K >= 1, lambda0 >= 0, temperature > 0")
 

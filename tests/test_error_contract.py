@@ -495,3 +495,57 @@ class TestFlagRanges:
         assert np.array_equal(trainer.model_forward(expected, full.rows)[1],
                               trainer.model_forward(persist.load(model),
                                                     full.rows)[1])
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written, a file in a missing folder or
+    a folder inside a file, ends in one error naming the path."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--out"), ("train", "--trace-out"),
+        ("train-pilib", "--out"), ("train-pilib", "--trace-out"),
+        ("train-pilib", "--diagnostics-out")])
+    def test_training_output(self, saved, tmp_path, command, flag):
+        _, data, _, _ = saved
+        bad = tmp_path / "missing" / "out"
+        argv = [command, "--data", data, "--target", "y", "--epochs", 1,
+                "--mlp", "4-1", "--gammas", 3, "--out", tmp_path / "m.plm"]
+        if command == "train-pilib":
+            argv += ["--blocks", 2]
+        code, err, caught = run(*argv, flag, bad)
+        assert_one_error_naming(bad, code, err, caught)
+
+    def test_predict_out(self, saved, tmp_path):
+        d, data, _, _ = saved
+        bad = tmp_path / "missing" / "p.csv"
+        code, err, caught = run("predict", "--model", d / "pilid.plm",
+                                "--data", data, "--out", bad)
+        assert_one_error_naming(bad, code, err, caught)
+
+    def test_export_shapes_out_dir_inside_a_file(self, saved, tmp_path):
+        d, data, _, _ = saved
+        bad = Path(data) / "sub"
+        code, err, caught = run("export-shapes", "--model", d / "pilid.plm",
+                                "--out-dir", bad)
+        assert_one_error_naming(bad, code, err, caught)
+
+    def test_export_interactions_out(self, saved, tmp_path):
+        d, _, _, _ = saved
+        bad = tmp_path / "missing" / "s.csv"
+        code, err, caught = run("export-interactions", "--model",
+                                d / "pilib.plm", "--features", "0,1",
+                                "--out", bad)
+        assert_one_error_naming(bad, code, err, caught)
+
+    def test_synth_out(self, tmp_path):
+        bad = tmp_path / "missing" / "d.csv"
+        code, err, caught = run("synth", "--m", 2, "--n", 10, "--out", bad)
+        assert_one_error_naming(bad, code, err, caught)
+
+    def test_trials_report(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("m = 2\nn = 40\nepochs = 1\nmlp = 4-1\n")
+        bad = tmp_path / "missing" / "r.csv"
+        code, err, caught = run("trials", "--config", cfg, "--trials", 1,
+                                "--report", bad)
+        assert_one_error_naming(bad, code, err, caught)

@@ -20,6 +20,7 @@ from pilid.persist import (
     write_loss_trace,
 )
 from pilid.pilib import active_feature_sets, train_pilib
+from pilid.pl_component import curve_forward
 from pilid.trainer import TrainConfig, model_forward, train
 
 DATA = Path(__file__).parent / "data"
@@ -353,13 +354,16 @@ class TestExports:
             assert svg.startswith("<svg") and "polyline" in svg
 
     def test_svg_escapes_feature_names(self, tmp_path):
-        names = ["c<d", "a&b \"q\" 'r' >"]
-        data = toy_data(m=2)
+        # XML cannot hold the C0 controls but tab, LF and CR, even escaped:
+        # the title shows them as U+FFFD
+        names = ["c<d", "a&b \"q\" 'r' >", "a\x01b\x1fc\td\x00"]
+        titles = names[:2] + ["a\ufffdb\ufffdc\td\ufffd"]
+        data = toy_data(m=3)
         data = Dataset(rows=data.rows, targets=data.targets,
                        specs=[FeatureSpec(n, "numerical") for n in names])
         model, _ = train(data, 3, [4], TrainConfig(epochs=1, seed=1))
         export_shapes(model, tmp_path, svg=True)
-        for j, name in enumerate(names):
+        for j, name in enumerate(titles):
             root = ET.parse(tmp_path / f"shape_{j}.svg").getroot()
             title = next(root.iter("{http://www.w3.org/2000/svg}text"))
             assert title.text == name
@@ -583,6 +587,24 @@ class TestCli:
                        "--out", str(surf_path)) == 0
         surf_lines = surf_path.read_text().strip().splitlines()
         assert len(surf_lines) == 6    # header + 5 grid rows
+
+    def test_train_pilib_with_every_block_closed(self, synth_csv, tmp_path,
+                                                 capsys):
+        # a strong pairwise pressure closes every gate: the file holds no
+        # block, and predicts its wide component alone
+        model_path, diag_path = tmp_path / "m.plm", tmp_path / "diag.csv"
+        assert run_cli("train-pilib", "--data", str(synth_csv), "--target",
+                       "y", "--epochs", "1", "--mlp", "4-1", "--blocks", "3",
+                       "--max-order", "1", "--lambda0", "100", "--lr", "0.5",
+                       "--out", str(model_path),
+                       "--diagnostics-out", str(diag_path)) == 0
+        assert "max interaction order 0" in capsys.readouterr().out
+        assert diag_path.read_text() == "block,order,features\n"
+        model = load(model_path)
+        assert model.blocks == [] and model.gates.B == 0
+        X = np.random.default_rng(3).uniform(-0.5, 1.5, (50, 3))
+        np.testing.assert_array_equal(model_forward(model, X)[0],
+                                      curve_forward(X, model.pl, model.points))
 
     def test_diagnostics_csv_reads_back_awkward_names(self, tmp_path):
         names = ["a,b", 'c "d"', "e"]

@@ -1,10 +1,18 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.encoding import build_points, encode_matrix
 from pilid.mlp_component import init_gaussian, mlp_forward
-from pilid.pl_component import PiecewiseLinearParams, init_least_squares, linear_forward
+from pilid.pl_component import (
+    PiecewiseLinearParams,
+    curve_forward,
+    init_least_squares,
+    linear_forward,
+)
 from pilid.trainer import (
     PilibGates,
     PilidModel,
@@ -14,9 +22,10 @@ from pilid.trainer import (
     lk_penalty,
     model_forward,
 )
-from pilid import pilib
+from pilid import persist, pilib, trainer
 from pilid.pilib import (
     active_feature_sets,
+    drop_closed_blocks,
     estimated_orders,
     interaction_surface,
     train_pilib,
@@ -249,6 +258,109 @@ class TestTraining:
             train_pilib(data, 3, [6], 0, 3, 0.1, TrainConfig(epochs=1))
         with pytest.raises(TrainingError):
             train_pilib(data, 3, [6], 2, 3, -0.5, TrainConfig(epochs=1))
+
+
+def hardened(data, G):
+    """A hand-built model with hard gate rows G, logits that agree, and
+    nonzero biases, so that a closed block outputs a nonzero constant."""
+    G = np.asarray(G, dtype=float)
+    model = manual_pilib(data, B=len(G), hidden=(6, 5),
+                         log_alpha=np.where(G > 0, 9.0, -9.0))
+    rng = np.random.default_rng(1)
+    for blk in model.blocks:
+        blk.biases = [rng.normal(0.0, 0.5, b.shape) for b in blk.biases]
+        blk.head_b = rng.normal(0.0, 0.5)
+    model.hard_gates = G
+    return model
+
+
+GATE_PATTERNS = {
+    "none_closed": [[1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]],
+    "some_closed": [[0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+    "all_closed": [[0, 0, 0, 0], [0, 0, 0, 0]],
+}
+
+
+class TestDropClosedBlocks:
+    """A closed block sees an all-zero row, so its output is one constant;
+    dropping it and adding that constant to w0 leaves the scores as they
+    were, up to rounding."""
+
+    @pytest.mark.parametrize("G", GATE_PATTERNS.values(),
+                             ids=GATE_PATTERNS.keys())
+    def test_scores_match_the_unpruned_model(self, G):
+        model = hardened(interaction_data(n=300, m=4), G)
+        is_open = np.any(G, axis=1)
+        # more rows than one prediction block
+        X = np.random.default_rng(5).uniform(-0.5, 1.5, (3000, 4))
+        ref, _ = model_forward(model, X)
+        pruned = copy.deepcopy(model)
+        drop_closed_blocks(pruned)
+        score, _ = model_forward(pruned, X)
+        assert np.max(np.abs(score - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert (pruned.pl.w0 == model.pl.w0) == is_open.all()
+        if is_open.all():
+            np.testing.assert_array_equal(score, ref)
+        assert len(pruned.blocks) == is_open.sum()
+        kept = [b for b, keep in zip(model.blocks, is_open) if keep]
+        for a, b in zip(pruned.blocks, kept):
+            np.testing.assert_array_equal(a.head_w, b.head_w)
+        np.testing.assert_array_equal(pruned.hard_gates,
+                                      model.hard_gates[is_open])
+        np.testing.assert_array_equal(pruned.gates.log_alpha,
+                                      model.gates.log_alpha[is_open])
+        assert pruned.gates.B == is_open.sum()
+
+    @pytest.mark.parametrize("G", GATE_PATTERNS.values(),
+                             ids=GATE_PATTERNS.keys())
+    def test_pruned_model_saves_and_loads_bit_exactly(self, G, tmp_path):
+        model = hardened(interaction_data(n=300, m=4), G)
+        drop_closed_blocks(model)
+        path = tmp_path / "model.plm"
+        persist.save(model, path)
+        loaded = persist.load(path)
+        X = np.random.default_rng(7).uniform(-0.2, 1.2, (100, 4))
+        for a, b in zip(model_forward(model, X), model_forward(loaded, X)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.hard_gates, model.hard_gates)
+        persist.save(loaded, tmp_path / "again.plm")
+        assert (tmp_path / "again.plm").read_bytes() == path.read_bytes()
+        if not model.blocks:
+            # the wide component, closed blocks' constants folded into w0
+            np.testing.assert_array_equal(
+                model_forward(loaded, X)[0],
+                curve_forward(X, loaded.pl, loaded.points))
+
+    def test_phase_two_runs_only_the_open_blocks(self, monkeypatch):
+        phase2, calls = [], []
+        real_pack, real_forward = pilib.pack, trainer.mlp_forward
+
+        def pack(model):
+            phase2.append(model.hard_gates is not None)
+            return real_pack(model)
+
+        def mlp_forward(x, block):
+            calls.append((phase2[-1], block))
+            return real_forward(x, block)
+
+        monkeypatch.setattr(pilib, "pack", pack)
+        monkeypatch.setattr(trainer, "mlp_forward", mlp_forward)
+        data = interaction_data(n=400, m=5, seed=3)
+        cfg = TrainConfig(epochs=2, batch_size=64, seed=2)
+        model, diag = train_pilib(data, 3, [6], 6, 3, 0.3, cfg)
+        assert 0 < len(model.blocks) < 6
+        steps = math.ceil(data.n / cfg.batch_size)
+        first = [block for two, block in calls if not two]
+        second = [block for two, block in calls if two]
+        assert len(first) == 6 * len(diag["phase1_trace"]) * steps
+        assert len(second) == len(model.blocks) * cfg.epochs * steps
+        assert all(any(b is blk for blk in model.blocks) for b in second)
+
+    def test_trained_model_holds_only_open_blocks(self, trained):
+        (model, diag), _ = trained
+        assert model.hard_gates.any(axis=1).all()
+        assert len(model.blocks) == model.gates.B == len(diag["orders"]) \
+            == len(diag["active_sets"])
 
 
 class TestInteractionSurface:
