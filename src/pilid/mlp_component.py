@@ -5,11 +5,20 @@ Everything is float64 numpy; no autodiff framework.  Each layer adds its
 bias and applies its activation in place on its matmul output.  The
 backward pass writes the parameter gradients into arrays it is given,
 such as views of the trainer's one gradient vector, or into fresh ones.
+
+B networks of the same widths that read the same input run side by side
+when their arrays carry a leading block axis of length B.  Each layer's
+activations are then one (N, B*p) array, network i in columns i*p to
+(i+1)*p: the first layer is one matmul of the input with all B weight
+matrices, each later layer one matmul over (B, N, p) views of that array,
+and each bias add and activation covers the whole array.  Every network's
+output and gradients are bit for bit those of running it alone; with
+B = 1 the calls are those of one network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,43 +29,60 @@ class MlpError(ValueError):
 
 @dataclass
 class MlpParams:
-    """Layer matrices/biases plus the scalar output head.
+    """Layer matrices/biases plus the scalar output head: of one network,
+    or of B networks side by side, when every array has a leading block
+    axis of length B (`blocks`).
 
-    head_b is a 0-d array so the optimizer can update it in place.
+    head_b is an array (0-d for one network) so the optimizer can update
+    it in place.
     """
 
-    weights: list[np.ndarray]        # W^l, shape (p_l, p_{l-1})
-    biases: list[np.ndarray]         # b^l, shape (p_l,)
-    head_w: np.ndarray               # w^y, shape (p_L,)
-    head_b: np.ndarray               # scalar
+    weights: list[np.ndarray]        # W^l, shape ([B,] p_l, p_{l-1})
+    biases: list[np.ndarray]         # b^l, shape ([B,] p_l)
+    head_w: np.ndarray               # w^y, shape ([B,] p_L)
+    head_b: np.ndarray               # b^y, shape ([B])
     activation: str = "relu"
 
     def __post_init__(self):
-        self.head_b = np.asarray(self.head_b, dtype=np.float64).reshape(())
+        self.head_b = np.asarray(self.head_b, dtype=np.float64)
+        lead = self.head_b.shape
+        if len(lead) > 1:
+            raise MlpError(f"head bias of shape {lead} is neither a scalar "
+                           f"nor one per block")
         if self.activation not in ("relu", "tanh"):
             raise MlpError(f"unknown activation {self.activation!r}")
         prev = None
         for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim != 2 or b.shape != (W.shape[0],):
-                raise MlpError(f"layer {l}: inconsistent shapes {W.shape}, {b.shape}")
-            if prev is not None and W.shape[1] != prev:
-                raise MlpError(f"layer {l}: input width {W.shape[1]} != {prev}")
-            prev = W.shape[0]
-        if self.head_w.shape != (prev,):
-            raise MlpError(f"head width {self.head_w.shape} != ({prev},)")
+            if W.ndim != len(lead) + 2 or W.shape[:-2] != lead \
+                    or b.shape != W.shape[:-1]:
+                raise MlpError(f"layer {l}: inconsistent shapes {W.shape}, "
+                               f"{b.shape}")
+            if prev is not None and W.shape[-1] != prev:
+                raise MlpError(f"layer {l}: input width {W.shape[-1]} != "
+                               f"{prev}")
+            prev = W.shape[-2]
+        if self.head_w.shape != (*lead, prev):
+            raise MlpError(f"head width {self.head_w.shape} != "
+                           f"{(*lead, prev)}")
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
+
+    @property
+    def blocks(self) -> int | None:
+        """B for networks side by side, None for one network."""
+        return len(self.head_b) if np.ndim(self.head_b) else None
 
 
 @dataclass
 class MlpGrads:
+    """Gradients in the shapes of the MlpParams arrays they belong to."""
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head_w: np.ndarray
     head_b: np.ndarray
-    x: np.ndarray = field(repr=False, default=None)
 
 
 def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -75,20 +101,61 @@ def _input_batch(x: np.ndarray, params: MlpParams) -> np.ndarray:
     return h
 
 
+def _side(a: np.ndarray, nb: int) -> np.ndarray:
+    """The (N, nb*p) activations `a` as nb (N, p) matrices, a (nb, N, p)
+    view; `a` itself for one network."""
+    return a if nb == 1 else \
+        a.reshape(a.shape[0], nb, a.shape[1] // nb).swapaxes(0, 1)
+
+
+def _mats(W: np.ndarray, nb: int) -> np.ndarray:
+    """Layer weights ([nb,] q, p) as one (q, p) matrix when nb is 1."""
+    return W.reshape(W.shape[-2:]) if nb == 1 else W
+
+
+def _hidden(h: np.ndarray, params: MlpParams):
+    """Yield each layer's activations on the (N, m) batch h, as (N, B*p_l)
+    arrays.  The first layer is one matmul of h with every block's
+    weights; a later layer is one matmul over the blocks' (N, p) views."""
+    nb = params.blocks or 1
+    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if l == 0:
+            z = h @ W.reshape(-1, W.shape[-1]).T
+        else:
+            z = np.empty((h.shape[0], b.size))
+            np.matmul(_side(h, nb), _mats(W, nb).swapaxes(-1, -2),
+                      out=_side(z, nb))
+        z += b.reshape(-1)
+        h = _act(z, params.activation, out=z)
+        yield h
+
+
+def _head(h: np.ndarray, x_ndim: int, params: MlpParams):
+    """The output from the last activations h: a scalar or (N,) for one
+    network, (B,) or (B, N) for B networks side by side."""
+    nb = params.blocks
+    if nb is None or nb == 1:
+        out = h @ params.head_w.reshape(-1)
+    else:
+        out = np.matmul(_side(h, nb), params.head_w[..., None])[..., 0]
+    if nb is None:
+        out += params.head_b
+        return float(out[0]) if x_ndim == 1 else out
+    out = out.reshape(nb, -1)
+    out += params.head_b[:, None]
+    return out[:, 0] if x_ndim == 1 else out
+
+
 def mlp_forward(x: np.ndarray, params: MlpParams):
     """Evaluate the network; returns (output, cache of layer activations).
 
-    Accepts a single length-m vector (scalar output) or an (N, m) batch.
+    Accepts a single length-m vector or an (N, m) batch.  One network
+    gives a scalar or an (N,) output; B networks side by side give one
+    output row each, (B,) or (B, N).
     """
     h = _input_batch(x, params)
-    cache = [h]
-    for W, b in zip(params.weights, params.biases):
-        z = h @ W.T
-        z += b
-        h = _act(z, params.activation, out=z)
-        cache.append(h)
-    out = h @ params.head_w + params.head_b
-    return (float(out[0]) if np.ndim(x) == 1 else out), cache
+    cache = [h, *_hidden(h, params)]
+    return _head(cache[-1], np.ndim(x), params), cache
 
 
 def mlp_predict(x: np.ndarray, params: MlpParams):
@@ -98,23 +165,23 @@ def mlp_predict(x: np.ndarray, params: MlpParams):
     array per layer is allocated and one layer's activations are alive at
     a time."""
     h = _input_batch(x, params)
-    for W, b in zip(params.weights, params.biases):
-        z = h @ W.T
-        z += b
-        h = _act(z, params.activation, out=z)
-    out = h @ params.head_w
-    out += params.head_b
-    return float(out[0]) if np.ndim(x) == 1 else out
+    for h in _hidden(h, params):
+        pass
+    return _head(h, np.ndim(x), params)
 
 
 def mlp_backward(params: MlpParams, cache: list[np.ndarray],
                  upstream: np.ndarray, out: MlpGrads | None = None) -> MlpGrads:
-    """Exact reverse-mode gradients for every parameter and the input.
+    """Exact reverse-mode gradients for every parameter.
 
     `upstream` is dLoss/dOutput, a scalar or length-N vector matching the
-    forward batch; gradients are summed over the batch.  They are written
-    into `out`'s parameter arrays (fresh ones when `out` is None), and
-    `out.x` is set to the input gradient; `out` is returned.
+    forward batch, the same for every network side by side; gradients are
+    summed over the batch.  They are written into `out`'s arrays, which
+    have the shapes of the parameters (fresh ones when `out` is None), and
+    `out` is returned; given arrays must be C-contiguous, so that their
+    reshapes are views.  The first layer's weight gradient of all blocks
+    is one matmul of that layer's deltas with the input; the input's own
+    gradient is not formed.
     """
     if len(cache) != len(params.weights) + 1:
         raise MlpError("cache does not match network depth")
@@ -124,12 +191,17 @@ def mlp_backward(params: MlpParams, cache: list[np.ndarray],
         raise MlpError(f"upstream shape {up.shape} does not match batch "
                        f"size {hL.shape[0]}")
     if out is None:
-        out = MlpGrads(weights=[np.empty_like(W) for W in params.weights],
-                       biases=[np.empty_like(b) for b in params.biases],
-                       head_w=np.empty_like(params.head_w),
-                       head_b=np.empty(()))
-    np.matmul(hL.T, up, out=out.head_w)
-    np.sum(up, out=out.head_b)
+        out = MlpGrads(weights=[np.empty(W.shape) for W in params.weights],
+                       biases=[np.empty(b.shape) for b in params.biases],
+                       head_w=np.empty(params.head_w.shape),
+                       head_b=np.empty(np.shape(params.head_b)))
+    elif not all(a.flags.c_contiguous
+                 for a in (*out.weights, *out.biases, out.head_w)):
+        raise MlpError("gradient arrays must be C-contiguous")
+    nb = params.blocks or 1
+    np.matmul(_side(hL, nb).swapaxes(-1, -2), up,
+              out=out.head_w if nb > 1 else out.head_w.reshape(-1))
+    out.head_b[...] = np.sum(up)
     delta = np.outer(up, params.head_w)
     for l in range(len(params.weights) - 1, -1, -1):
         h = cache[l + 1]
@@ -137,10 +209,18 @@ def mlp_backward(params: MlpParams, cache: list[np.ndarray],
             delta *= h > 0      # subgradient 0 at 0; the mask casts to 1.0/0.0
         else:
             delta *= 1.0 - h * h
-        np.matmul(delta.T, cache[l], out=out.weights[l])
-        np.sum(delta, axis=0, out=out.biases[l])
-        delta = delta @ params.weights[l]
-    out.x = delta
+        gW = out.weights[l]
+        if l == 0:
+            np.matmul(delta.T, cache[0], out=gW.reshape(-1, gW.shape[-1]))
+        else:
+            np.matmul(_side(delta, nb).swapaxes(-1, -2), _side(cache[l], nb),
+                      out=_mats(gW, nb))
+        np.sum(delta, axis=0, out=out.biases[l].reshape(-1))
+        if l:
+            below = np.empty((h.shape[0], cache[l].shape[1]))
+            np.matmul(_side(delta, nb), _mats(params.weights[l], nb),
+                      out=_side(below, nb))
+            delta = below
     return out
 
 

@@ -26,12 +26,15 @@ from pilid.trainer import (
     PilidModel,
     TrainConfig,
     TrainingError,
+    add_block_outputs,
     block_gates,
     gate_values,
+    gated_nets,
     init_model,
     loss_and_grads,
     model_forward,
     pack,
+    predict_in_blocks,
     train_epoch,
 )
 
@@ -144,8 +147,9 @@ def interaction_surface(model: PilidModel, features: tuple[int, int],
     """Grid evaluation of the block-sum restricted to blocks whose active
     feature set is contained in {a, b}, for two different features and
     grid >= 2 points per axis; other features sit at the training means.
-    A model from `train_pilib` has no closed block, so the surface holds
-    no closed block's constant (that is part of w0).  Returns (xs_a, xs_b,
+    All grid^2 rows go through the kept blocks side by side at once.  A
+    model from `train_pilib` has no closed block, so the surface holds no
+    closed block's constant (that is part of w0).  Returns (xs_a, xs_b,
     surface)."""
     a, b = features
     if not (0 <= a < model.m and 0 <= b < model.m):
@@ -163,14 +167,12 @@ def interaction_surface(model: PilidModel, features: tuple[int, int],
     pa, pb = model.points.points[a], model.points.points[b]
     xs_a = np.linspace(pa[0], pa[-1], grid)
     xs_b = np.linspace(pb[0], pb[-1], grid)
-    surface = np.zeros((grid, grid))
-    base = np.tile(model.train_means, (grid, 1))
-    for r, va in enumerate(xs_a):
-        rows = base.copy()
-        rows[:, a] = va
-        rows[:, b] = xs_b
-        total = np.zeros(grid)
-        for i in keep:
-            total += mlp_predict(rows * G[i], model.blocks[i])
-        surface[r] = total
-    return xs_a, xs_b, surface
+    # row r * grid + c holds (xs_a[r], xs_b[c])
+    rows = np.tile(model.train_means, (grid * grid, 1))
+    rows[:, a] = np.repeat(xs_a, grid)
+    rows[:, b] = np.tile(xs_b, grid)
+    nets = gated_nets([model.blocks[i] for i in keep], G[keep])
+    surface = predict_in_blocks(
+        lambda block: add_block_outputs(np.zeros(len(block)), block, nets),
+        rows)
+    return xs_a, xs_b, surface.reshape(grid, grid)

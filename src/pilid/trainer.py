@@ -6,29 +6,38 @@ the input times its gate row:
 
     score(x) = segment_forward(locate(x)) + sum_i mlp_forward(x * G[i])
 
-PiLiD is the case B = 1 with an all-ones gate row (the multiply is exact
-on finite rows) and no order penalty.  PiLiB has B blocks whose gates are
-trainable logits, relaxed while they learn under the order penalty and
-then frozen to 0/1 (see pilib.train_pilib).  Every array is optimized
-jointly with mini-batch Adam, without the (N, gamma) encoding, through
-one loss/gradient function and one epoch loop.  Training first packs the
-trainable arrays into one float64 vector whose views the model's fields
-become (`pack`).  Each backward pass writes into the views of one
-gradient vector of the same layout, and Adam updates the parameter vector
-in place.  The weights lead the layout, so the regulariser (on the wide
-weights while the gates are relaxed, otherwise on every weight, never on
-biases, omega, w0 or gate logits) acts on one leading slice.  The
-regulariser and Adam pass over their vectors in chunks of CHUNK values
-with chunk-sized scratch, so each pass works within the cache.  The wide
-component starts from a least-squares fit so the optimizer begins in an
-interpretable region; the blocks start from small Gaussian weights.
-Prediction computes the same score from the shape curves (curve_forward)
-and the cache-free block outputs (mlp_predict), in fixed-size row blocks.
+PiLiD is the case B = 1 with an all-ones gate row and no order penalty.
+PiLiB has B blocks whose gates are trainable logits, relaxed while they
+learn under the order penalty and then frozen to 0/1 (see
+pilib.train_pilib).  The blocks run side by side (see mlp_component):
+one network forward and one backward per batch whatever B is, with the
+gates folded into the first layer's weights, x * G[i] @ W0[i].T =
+x @ (W0[i] * G[i]).T, so the input is never copied per block.  The gate
+gradient then comes from that layer's weight gradient.  The score adds
+the wide component, then block 0, block 1 and so on.
+
+Every array is optimized jointly with mini-batch Adam, without the
+(N, gamma) encoding, through one loss/gradient function and one epoch
+loop.  Training first packs the trainable arrays into one float64 vector
+whose views the model's fields become (`pack`).  Each backward pass
+writes into the views of one gradient vector of the same layout, and
+Adam updates the parameter vector in place.  The weights lead the
+layout, so the regulariser (on the wide weights while the gates are
+relaxed, otherwise on every weight, never on biases, omega, w0 or gate
+logits) acts on one leading slice.  Within the weights and within the
+biases the blocks' arrays are ordered by layer: every block's W0, then
+every block's W1, and so on to every head, so each layer of all blocks
+is one (B, ...) view of the vector.  The regulariser and Adam pass over
+their vectors in chunks of CHUNK values with chunk-sized scratch, so
+each pass works within the cache.  The wide component starts from a
+least-squares fit so the optimizer begins in an interpretable region;
+the blocks start from small Gaussian weights.  Prediction computes the
+same score from the shape curves (curve_forward) and the cache-free
+block outputs (mlp_predict), in fixed-size row blocks.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -293,12 +302,16 @@ def _data_loss_and_grad(score: np.ndarray, y: np.ndarray, task: str):
 class ParamVector(Mapping):
     """Named arrays held as views into one float64 vector, `flat`, in the
     order of `param_arrays`.  `spans` maps each name to its (start, stop,
-    shape); the first `n_reg` values are the regularised weights."""
+    shape); the first `n_reg` values are the regularised weights.  `runs`
+    are the ranges of blocks whose arrays are laid out by layer, so that
+    each array of a run is one view with a leading block axis
+    (`stacked`)."""
 
     def __init__(self, flat: np.ndarray, spans: dict, n_reg: int,
-                 relaxed: bool):
+                 relaxed: bool, runs: tuple[range, ...] = ()):
         self.flat, self.spans, self.n_reg = flat, spans, n_reg
         self.relaxed = relaxed      # the gate state the layout was made for
+        self.runs = runs
 
     def __getitem__(self, name: str) -> np.ndarray:
         start, stop, shape = self.spans[name]
@@ -310,44 +323,66 @@ class ParamVector(Mapping):
     def __len__(self) -> int:
         return len(self.spans)
 
-    def views(self, names) -> list[np.ndarray]:
-        """The arrays of `names`, in order."""
-        flat, spans = self.flat, self.spans
-        return [flat[start:stop].reshape(shape)
-                for start, stop, shape in map(spans.__getitem__, names)]
-
     def like(self, flat: np.ndarray) -> ParamVector:
         """Another vector of this layout, such as a gradient."""
-        return ParamVector(flat, self.spans, self.n_reg, self.relaxed)
+        return ParamVector(flat, self.spans, self.n_reg, self.relaxed,
+                           self.runs)
+
+    def stacked(self, run: range, depth: int) -> list[np.ndarray]:
+        """The arrays of the blocks of `run`, each as one view with a
+        leading block axis, in MlpGrads order: the layer weights, the
+        biases, head_w and head_b."""
+        views = []
+        for key in _block_keys(depth):
+            start, _, shape = self.spans[f"blk{run.start}.{key}"]
+            stop = self.spans[f"blk{run[-1]}.{key}"][1]
+            views.append(self.flat[start:stop].reshape(len(run), *shape))
+        return views
 
 
-@functools.cache
-def _block_names(i: int, depth: int) -> tuple[str, ...]:
-    """The names of block i's arrays in MlpGrads order: its `depth` layer
-    weights, its biases, head_w and head_b."""
-    return (*(f"blk{i}.W{l}" for l in range(depth)),
-            *(f"blk{i}.b{l}" for l in range(depth)),
-            f"blk{i}.head_w", f"blk{i}.head_b")
+def _block_keys(depth: int) -> list[str]:
+    """The names of a block's arrays in MlpGrads order."""
+    return [*(f"W{l}" for l in range(depth)), *(f"b{l}" for l in range(depth)),
+            "head_w", "head_b"]
+
+
+def _runs(blocks: list[MlpParams]) -> list[range]:
+    """The blocks in runs of consecutive ones with equal widths and
+    activation, which run side by side: one run for blocks made by
+    `init_model`."""
+    runs, last = [], None
+    for i, blk in enumerate(blocks):
+        kind = (blk.activation, *(W.shape for W in blk.weights))
+        if kind == last:
+            runs[-1] = range(runs[-1].start, i + 1)
+        else:
+            runs.append(range(i, i + 1))
+        last = kind
+    return runs
 
 
 def _slots(model: PilidModel):
     """Where each trainable array lives, as (name, owner, key) in packed
     order, and how many leading slots are regularised.  Weights come
-    first (the wide weights, then every block's layer and head weights),
-    then the biases, omega and w0, then the gate logits, which train only
-    while they are relaxed.  Only weights are regularised, and while the
-    gates are relaxed only the wide weights."""
+    first (the wide weights, then the blocks' layer and head weights),
+    then the biases, omega and w0, then the blocks' biases, then the gate
+    logits, which train only while they are relaxed.  The blocks' arrays
+    are ordered by layer within each run: every block's W0, then every
+    W1, ..., every head_w, and the biases likewise.  Only weights are
+    regularised, and while the gates are relaxed only the wide
+    weights."""
     weights, rest = [], []
     if model.pl is not None:
         weights.append(("pl.w", model.pl, "w"))
         rest += [(f"pl.{k}", model.pl, k) for k in ("b", "omega", "w0")]
-    for i, blk in enumerate(model.blocks):
-        depth = len(blk.weights)
-        names = _block_names(i, depth)
-        weights += [(names[l], blk.weights, l) for l in range(depth)]
-        weights.append((names[-2], blk, "head_w"))
-        rest += [(names[depth + l], blk.biases, l) for l in range(depth)]
-        rest.append((names[-1], blk, "head_b"))
+    for run in _runs(model.blocks):
+        blocks = [(i, model.blocks[i]) for i in run]
+        depth = len(blocks[0][1].weights)
+        for l in range(depth):
+            weights += [(f"blk{i}.W{l}", blk.weights, l) for i, blk in blocks]
+            rest += [(f"blk{i}.b{l}", blk.biases, l) for i, blk in blocks]
+        weights += [(f"blk{i}.head_w", blk, "head_w") for i, blk in blocks]
+        rest += [(f"blk{i}.head_b", blk, "head_b") for i, blk in blocks]
     if not model.gates_relaxed:
         return weights + rest, len(weights)
     rest.append(("gates.log_alpha", model.gates, "log_alpha"))
@@ -374,7 +409,8 @@ def _gather(model: PilidModel) -> ParamVector:
     spans = {name: (start, start + a.size, a.shape)
              for (name, _, _), start, a in zip(slots, starts, arrays)}
     return ParamVector(np.concatenate(arrays, axis=None), spans,
-                       starts[n_weights], model.gates_relaxed)
+                       starts[n_weights], model.gates_relaxed,
+                       tuple(_runs(model.blocks)))
 
 
 def pack(model: PilidModel) -> ParamVector:
@@ -390,6 +426,60 @@ def pack(model: PilidModel) -> ParamVector:
             setattr(owner, key, params[name])
     model.packed = params
     return params
+
+
+def _packed_for(model: PilidModel, relaxed: bool) -> ParamVector | None:
+    """The vector `pack` made for the model, while its arrays are still
+    views of it for this gate state; a deep copy of the model, a change
+    of its blocks or of its gate state since then unbinds them."""
+    params = model.packed
+    if params is None or params.relaxed != relaxed:
+        return None
+    flat, blocks = params.flat, model.blocks
+    if (params.runs[-1].stop if params.runs else 0) != len(blocks) or \
+            any(blk.weights[0].base is not flat for blk in blocks) or \
+            (model.pl is not None and model.pl.w.base is not flat):
+        return None
+    return params
+
+
+def _gated(arrays: list[np.ndarray], G: np.ndarray,
+           activation: str) -> MlpParams:
+    """Blocks side by side from their stacked arrays in MlpGrads order,
+    with their gate rows G folded into the first layer's weights."""
+    depth = (len(arrays) - 2) // 2
+    return MlpParams(weights=[arrays[0] * G[:, None, :], *arrays[1:depth]],
+                     biases=arrays[depth:-2], head_w=arrays[-2],
+                     head_b=arrays[-1], activation=activation)
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """Arrays of one shape along a new leading axis: a view when there is
+    one."""
+    return np.asarray(arrays[0])[None] if len(arrays) == 1 else \
+        np.stack(arrays)
+
+
+def gated_nets(blocks: list[MlpParams], G: np.ndarray) -> list[MlpParams]:
+    """The networks `blocks` under their gate rows G, side by side in runs
+    of equal shape: copies, except for layers of a run of one block."""
+    nets = []
+    for run in _runs(blocks):
+        per_block = [[*b.weights, *b.biases, b.head_w, b.head_b]
+                     for b in blocks[run.start:run.stop]]
+        nets.append(_gated([_stack(a) for a in zip(*per_block)],
+                           G[run.start:run.stop], blocks[run.start].activation))
+    return nets
+
+
+def add_block_outputs(score: np.ndarray, X: np.ndarray,
+                      nets: list[MlpParams]) -> np.ndarray:
+    """`score` plus the output on the (N, m) rows X of every block of
+    `nets`, added in block order."""
+    for net in nets:
+        for out in mlp_predict(X, net):
+            score = score + out
+    return score
 
 
 def _finite_rows(X: np.ndarray) -> np.ndarray:
@@ -418,14 +508,12 @@ def model_forward(model: PilidModel, x: np.ndarray):
     (`curve_forward`) and cache-free blocks, in fixed-size row blocks."""
     single = np.ndim(x) == 1
     X = _finite_rows(check_rows(x, model.points))
-    G = block_gates(model)
+    nets = gated_nets(model.blocks, block_gates(model))
 
     def score_rows(rows):
         score = np.zeros(rows.shape[0]) if model.pl is None \
             else curve_forward(rows, model.pl, model.points)
-        for i, block in enumerate(model.blocks):
-            score = score + mlp_predict(rows * G[i], block)
-        return score
+        return add_block_outputs(score, rows, nets)
 
     score = predict_in_blocks(score_rows, X)
     pred = sigmoid(score) if model.task == CLASSIFICATION else score
@@ -444,27 +532,34 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     under the hard gates.  The gradients come as one fresh ParamVector in
     the layout of `param_arrays`, whose views the backward passes write
     into; the regulariser acts on its leading slice.  A model that was
-    never packed is read through a copy, not rebound.
+    never packed is read through a copy, not rebound.  The blocks run
+    side by side: one mlp_forward and one mlp_backward per run of
+    equal-shaped blocks, one for a model from `init_model`.
     """
     X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
     relaxed = model.gates_relaxed
     G = gate_values(model.gates, "train") if relaxed else model.hard_gates
+    params = _packed_for(model, relaxed)
+    if params is None:
+        params = _gather(model)
     if model.pl is None:
         score = np.zeros(X.shape[0])
     else:
         U, F = locate(X, model.points)
         score, T = segment_forward(U, F, model.pl, model.points)
-    caches = []
-    for i, block in enumerate(model.blocks):
-        out, cache = mlp_forward(X * G[i], block)
-        score = score + out
-        caches.append(cache)
+    passes = []
+    for run in params.runs:
+        first = model.blocks[run.start]
+        depth = len(first.weights)
+        views = params.stacked(run, depth)
+        net = _gated(views, G[run.start:run.stop], first.activation)
+        out, cache = mlp_forward(X, net)
+        for row in out:
+            score = score + row
+        passes.append((run, depth, views[0], net, cache))
     data, dscore = _data_loss_and_grad(score, y, model.task)
 
-    params = model.packed
-    if params is None or params.relaxed != relaxed:
-        params = _gather(model)
     # fresh per call: callers may hold a result across calls
     grad = params.like(np.empty_like(params.flat))
     if model.pl is not None:
@@ -472,15 +567,16 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
                          out={k: grad[f"pl.{k}"]
                               for k in ("w", "b", "omega", "w0")})
     dG = np.zeros_like(model.gates.log_alpha) if relaxed else None
-    for i, (block, cache) in enumerate(zip(model.blocks, caches)):
-        depth = len(block.weights)
-        views = grad.views(_block_names(i, depth))
-        mg = mlp_backward(block, cache, dscore, out=MlpGrads(
+    for run, depth, W0, net, cache in passes:
+        views = grad.stacked(run, depth)
+        mlp_backward(net, cache, dscore, out=MlpGrads(
             weights=views[:depth], biases=views[depth:-2],
             head_w=views[-2], head_b=views[-1]))
+        # views[0] holds the gradient of W0 * G; split it by the product
+        # rule, the gates' share summed over each block's units
         if relaxed:
-            # d(masked input)/d(gate_ij) = x_j, summed over the batch
-            dG[i] = (mg.x * X).sum(axis=0)
+            dG[run.start:run.stop] = np.sum(views[0] * W0, axis=1)
+        views[0] *= G[run.start:run.stop, None, :]
 
     total = data
     if relaxed:

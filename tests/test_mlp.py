@@ -8,6 +8,7 @@ from pilid.mlp_component import (
     init_gaussian,
     mlp_backward,
     mlp_forward,
+    mlp_predict,
 )
 
 
@@ -101,7 +102,6 @@ class TestBackward:
         assert float(g.head_b) == pytest.approx(1.0)
         assert g.weights[0][0, 0] == pytest.approx(8.0)   # w_y * x
         assert g.biases[0][0] == pytest.approx(2.0)
-        assert g.x[0, 0] == pytest.approx(6.0)            # w_y * W
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_finite_difference_check(self, activation):
@@ -147,19 +147,6 @@ class TestBackward:
                                1e-4)
             assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
-    def test_input_gradient_finite_difference(self):
-        params = tiny_net("tanh", 9)
-        x = np.array([0.3, -0.7, 1.1])
-        out, cache = mlp_forward(x, params)
-        g = mlp_backward(params, cache, np.ones(1))
-        h = 1e-6
-        for j in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fd = (mlp_forward(xp, params)[0] - mlp_forward(xm, params)[0]) / (2 * h)
-            assert g.x[0, j] == pytest.approx(fd, abs=1e-6)
-
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_writes_into_given_arrays_bit_for_bit(self, activation):
         params = tiny_net(activation, 4, widths=(5, 7, 6, 4))
@@ -186,8 +173,16 @@ class TestBackward:
                 returned, views):
             np.testing.assert_array_equal(have, want)
             assert np.shares_memory(have, view)
-        np.testing.assert_array_equal(got.x, fresh.x)
         assert np.all(np.isnan(buf[:3]))    # nothing written outside
+
+    def test_non_contiguous_given_arrays_rejected(self):
+        # the backward pass writes through reshaped views of them
+        params = tiny_net("tanh", 5, widths=(3, 4, 4))
+        _, cache = mlp_forward(np.ones((2, 3)), params)
+        fresh = mlp_backward(params, cache, np.ones(2))
+        fresh.weights[1] = np.asfortranarray(fresh.weights[1])
+        with pytest.raises(MlpError, match="contiguous"):
+            mlp_backward(params, cache, np.ones(2), out=fresh)
 
     def test_cache_depth_mismatch_rejected(self):
         params = tiny_net()
@@ -200,6 +195,71 @@ class TestBackward:
         _, cache = mlp_forward(np.zeros((4, 3)), params)
         with pytest.raises(MlpError):
             mlp_backward(params, cache, np.ones(3))
+
+
+def side_by_side(nets):
+    """The networks `nets`, of one shape, as one MlpParams with a leading
+    block axis."""
+    return MlpParams(
+        weights=[np.stack(Ws) for Ws in zip(*(n.weights for n in nets))],
+        biases=[np.stack(bs) for bs in zip(*(n.biases for n in nets))],
+        head_w=np.stack([n.head_w for n in nets]),
+        head_b=np.array([float(n.head_b) for n in nets]),
+        activation=nets[0].activation)
+
+
+class TestSideBySide:
+    """Networks with a leading block axis give, bit for bit, what each
+    network gives alone."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("B", [1, 2, 7])
+    def test_each_network_as_alone(self, B, activation):
+        rng = np.random.default_rng(B)
+        nets = [tiny_net(activation, seed, widths=(5, 7, 6, 4))
+                for seed in range(B)]
+        for net in nets:
+            net.biases = [rng.normal(0, 0.5, b.shape) for b in net.biases]
+            net.head_b = np.float64(rng.normal())
+        stacked = side_by_side(nets)
+        assert stacked.blocks == B
+        X = rng.normal(0, 1, (9, 5))
+        X[0, :] = 0.0               # relu units at exactly 0
+        up = rng.normal(0, 1, 9)
+        out, cache = mlp_forward(X, stacked)
+        assert out.shape == (B, 9)
+        np.testing.assert_array_equal(mlp_predict(X, stacked), out)
+        g = mlp_backward(stacked, cache, up)
+        for i, net in enumerate(nets):
+            alone, alone_cache = mlp_forward(X, net)
+            np.testing.assert_array_equal(out[i], alone)
+            ga = mlp_backward(net, alone_cache, up)
+            for have, want in zip(
+                    g.weights + g.biases + [g.head_w, g.head_b],
+                    ga.weights + ga.biases + [ga.head_w, ga.head_b]):
+                np.testing.assert_array_equal(have[i], want)
+        single = mlp_forward(X[3], stacked)[0]
+        assert single.shape == (B,)
+        np.testing.assert_array_equal(
+            single, [mlp_forward(X[3], net)[0] for net in nets])
+
+    def test_empty_batch(self):
+        stacked = side_by_side([tiny_net("relu", s) for s in range(3)])
+        out, cache = mlp_forward(np.zeros((0, 3)), stacked)
+        assert out.shape == (3, 0)
+        g = mlp_backward(stacked, cache, np.zeros(0))
+        assert all(np.all(W == 0) for W in g.weights)
+
+    def test_block_axes_must_agree(self):
+        net = tiny_net()
+        with pytest.raises(MlpError, match="inconsistent"):
+            MlpParams(weights=[W[None] for W in net.weights],
+                      biases=net.biases, head_w=net.head_w[None],
+                      head_b=np.zeros(1))
+        with pytest.raises(MlpError, match="head width"):
+            MlpParams(weights=[W[None] for W in net.weights],
+                      biases=[b[None] for b in net.biases],
+                      head_w=net.head_w, head_b=np.zeros(1))
 
 
 class TestInit:

@@ -332,6 +332,8 @@ class TestDropClosedBlocks:
                 curve_forward(X, loaded.pl, loaded.points))
 
     def test_phase_two_runs_only_the_open_blocks(self, monkeypatch):
+        # one network forward per step, over every block side by side in
+        # phase 1 and over exactly the open blocks in phase 2
         phase2, calls = [], []
         real_pack, real_forward = pilib.pack, trainer.mlp_forward
 
@@ -339,9 +341,9 @@ class TestDropClosedBlocks:
             phase2.append(model.hard_gates is not None)
             return real_pack(model)
 
-        def mlp_forward(x, block):
-            calls.append((phase2[-1], block))
-            return real_forward(x, block)
+        def mlp_forward(x, net):
+            calls.append((phase2[-1], net))
+            return real_forward(x, net)
 
         monkeypatch.setattr(pilib, "pack", pack)
         monkeypatch.setattr(trainer, "mlp_forward", mlp_forward)
@@ -350,11 +352,17 @@ class TestDropClosedBlocks:
         model, diag = train_pilib(data, 3, [6], 6, 3, 0.3, cfg)
         assert 0 < len(model.blocks) < 6
         steps = math.ceil(data.n / cfg.batch_size)
-        first = [block for two, block in calls if not two]
-        second = [block for two, block in calls if two]
-        assert len(first) == 6 * len(diag["phase1_trace"]) * steps
-        assert len(second) == len(model.blocks) * cfg.epochs * steps
-        assert all(any(b is blk for blk in model.blocks) for b in second)
+        first = [net for two, net in calls if not two]
+        second = [net for two, net in calls if two]
+        assert len(first) == len(diag["phase1_trace"]) * steps
+        assert all(net.blocks == 6 for net in first)
+        assert len(second) == cfg.epochs * steps
+        for net in second:
+            assert net.blocks == len(model.blocks)
+            for i, blk in enumerate(model.blocks):
+                # the stacked views are the open blocks' own arrays
+                assert np.shares_memory(net.head_w[i], blk.head_w)
+                assert np.shares_memory(net.biases[0][i], blk.biases[0])
 
     def test_trained_model_holds_only_open_blocks(self, trained):
         (model, diag), _ = trained

@@ -8,7 +8,14 @@ import pytest
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.encoding import build_points, encode_matrix
 from pilid.mlp_component import MlpParams, mlp_forward
-from pilid.pl_component import PiecewiseLinearParams, linear_forward
+from pilid.pl_component import (
+    PiecewiseLinearParams,
+    linear_forward,
+    locate,
+    segment_backward,
+    segment_forward,
+)
+from pilid import trainer
 from pilid.trainer import (
     CHUNK,
     Adam,
@@ -287,6 +294,23 @@ class TestPackedGradients:
         assert list(grad) == list(grad_u)
         np.testing.assert_array_equal(grad.flat, grad_u.flat)
 
+    def test_copy_of_a_packed_model_reads_its_own_arrays(self):
+        # a deep copy's arrays are no views of its copied vector, so
+        # changing them in place must reach the forward pass
+        model, data = gated_model(relaxed=False)
+        pack(model)
+        clone = copy.deepcopy(model)
+        clone.blocks[1].head_w += 1.0
+        clone.pl.w += 0.5
+        unpacked = copy.deepcopy(clone)
+        unpacked.packed = None
+        cfg = TrainConfig(lam=0.01)
+        value, grad = loss_and_grads(clone, data.rows, data.targets, cfg)
+        value_u, grad_u = loss_and_grads(unpacked, data.rows, data.targets,
+                                         cfg)
+        assert value == value_u
+        np.testing.assert_array_equal(grad.flat, grad_u.flat)
+
     def test_each_call_returns_a_fresh_vector(self):
         model, data = gated_model(relaxed=True)
         params = pack(model)
@@ -318,6 +342,131 @@ class TestPackedGradients:
             tracemalloc.stop()
         assert peak < params.flat.nbytes + cache + 2 * 2 ** 20, \
             (peak, params.flat.nbytes, cache)
+
+
+def blocks_reference(model, X, y):
+    """The per-block loop that `loss_and_grads` replaced, kept as its
+    reference: each block runs alone on its gated input X * G[i], and a
+    gate's gradient comes from its block's input gradient.  Returns the
+    loss and the gradient of every array of `param_arrays`, by name, with
+    no regulariser."""
+    relaxed = model.gates_relaxed
+    G = gate_values(model.gates, "train") if relaxed else model.hard_gates
+    grads = {}
+    if model.pl is None:
+        score = np.zeros(len(y))
+    else:
+        U, F = locate(X, model.points)
+        score, T = segment_forward(U, F, model.pl, model.points)
+    caches = []
+    for i, blk in enumerate(model.blocks):
+        h = X * G[i]
+        cache = [h]
+        for W, b in zip(blk.weights, blk.biases):
+            z = h @ W.T
+            z += b
+            h = np.maximum(z, 0.0) if blk.activation == "relu" \
+                else np.tanh(z)
+            cache.append(h)
+        score = score + (h @ blk.head_w + blk.head_b)
+        caches.append(cache)
+    loss, up = trainer._data_loss_and_grad(score, y, model.task)
+    if model.pl is not None:
+        wide = segment_backward(U, F, T, up, model.pl, model.points)
+        grads.update({f"pl.{k}": v for k, v in wide.items()})
+    dG = np.zeros_like(G)
+    for i, (blk, cache) in enumerate(zip(model.blocks, caches)):
+        grads[f"blk{i}.head_w"] = cache[-1].T @ up
+        grads[f"blk{i}.head_b"] = np.sum(up)
+        delta = np.outer(up, blk.head_w)
+        for l in range(len(blk.weights) - 1, -1, -1):
+            h = cache[l + 1]
+            delta *= (h > 0) if blk.activation == "relu" else 1.0 - h * h
+            grads[f"blk{i}.W{l}"] = delta.T @ cache[l]
+            grads[f"blk{i}.b{l}"] = np.sum(delta, axis=0)
+            delta = delta @ blk.weights[l]
+        dG[i] = (delta * X).sum(axis=0)
+    if relaxed:
+        gates = model.gates
+        khat = G.sum(axis=1)
+        loss += trainer.lk_penalty(khat, gates.K, gates.lambda0)
+        dG += trainer._lk_penalty_gate_grad(khat, gates.K, gates.lambda0)
+        grads["gates.log_alpha"] = dG * trainer._gate_grad_factor(gates)
+    return loss, grads
+
+
+def closed_and_open_gates(B, m, rng):
+    """Random 0/1 gate rows, block 0 closed when B > 1 and block 1 open
+    on every feature when B > 2."""
+    G = (rng.random((B, m)) < 0.4).astype(float)
+    if B > 1:
+        G[0] = 0.0
+    if B > 2:
+        G[1] = 1.0
+    return G
+
+
+class TestBlocksReference:
+    """One stacked pass for all blocks gives what the per-block loop
+    gives: bit for bit under hard gates, where folding a 0/1 gate into
+    the weights changes no product, and to rounding under relaxed ones."""
+
+    @staticmethod
+    def model_and_batch(B, activation, task="regression"):
+        pilid = B == "pilid"
+        data = toy_data(n=256, m=10, seed=0 if pilid else B, task=task)
+        cfg = TrainConfig(seed=0 if pilid else B, sigma=0.3, lam=0.0,
+                          reg="none")
+        model = init_model(data, 4, [8, 8], cfg, activation=activation,
+                           B=None if pilid else B)
+        rng = np.random.default_rng(7)
+        for blk in model.blocks:
+            blk.biases = [rng.normal(0, 0.3, b.shape) for b in blk.biases]
+        pack(model)
+        return model, data, cfg
+
+    @staticmethod
+    def compare(model, data, cfg, rel):
+        value, grad = loss_and_grads(model, data.rows, data.targets, cfg)
+        ref_value, ref = blocks_reference(model, data.rows, data.targets)
+        assert sorted(grad) == sorted(ref)
+        if rel == 0.0:
+            assert value == ref_value
+        else:
+            assert abs(value - ref_value) <= rel * abs(ref_value)
+        for name, want in ref.items():
+            have = grad[name]
+            if rel == 0.0:
+                np.testing.assert_array_equal(have, want, err_msg=name)
+            else:
+                scale = max(np.max(np.abs(want)), 1e-300)
+                assert np.max(np.abs(have - want)) <= rel * scale, name
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("B", ["pilid", 1, 2, 20])
+    def test_hard_gates_bit_for_bit(self, B, activation):
+        model, data, cfg = self.model_and_batch(B, activation)
+        if B != "pilid":
+            model.hard_gates = closed_and_open_gates(
+                B, data.m, np.random.default_rng(B))
+            pack(model)
+        self.compare(model, data, cfg, 0.0)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("B", [1, 2, 20])
+    def test_relaxed_gates_to_rounding(self, B, activation):
+        model, data, cfg = self.model_and_batch(B, activation,
+                                                "classification")
+        model.gates.log_alpha = np.random.default_rng(B).uniform(
+            -1.5, 1.5, model.gates.log_alpha.shape)
+        self.compare(model, data, cfg, 1e-12)
+
+    def test_mlp_only_bit_for_bit(self):
+        data = toy_data(n=256, m=10)
+        cfg = TrainConfig(seed=3, lam=0.0, reg="none")
+        model = init_model(data, 4, [8, 8], cfg, mlp_only=True)
+        pack(model)
+        self.compare(model, data, cfg, 0.0)
 
 
 class TestJointGradients:
