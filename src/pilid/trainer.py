@@ -303,12 +303,12 @@ class ParamVector(Mapping):
     """Named arrays held as views into one float64 vector, `flat`, in the
     order of `param_arrays`.  `spans` maps each name to its (start, stop,
     shape); the first `n_reg` values are the regularised weights.  `runs`
-    are the ranges of blocks whose arrays are laid out by layer, so that
-    each array of a run is one view with a leading block axis
-    (`stacked`)."""
+    holds, for each run of blocks laid out by layer, its range of blocks
+    and the spans of its arrays as views with a leading block axis, in
+    MlpGrads order (`stacked`)."""
 
     def __init__(self, flat: np.ndarray, spans: dict, n_reg: int,
-                 relaxed: bool, runs: tuple[range, ...] = ()):
+                 relaxed: bool, runs: tuple = ()):
         self.flat, self.spans, self.n_reg = flat, spans, n_reg
         self.relaxed = relaxed      # the gate state the layout was made for
         self.runs = runs
@@ -328,22 +328,12 @@ class ParamVector(Mapping):
         return ParamVector(flat, self.spans, self.n_reg, self.relaxed,
                            self.runs)
 
-    def stacked(self, run: range, depth: int) -> list[np.ndarray]:
-        """The arrays of the blocks of `run`, each as one view with a
-        leading block axis, in MlpGrads order: the layer weights, the
-        biases, head_w and head_b."""
-        views = []
-        for key in _block_keys(depth):
-            start, _, shape = self.spans[f"blk{run.start}.{key}"]
-            stop = self.spans[f"blk{run[-1]}.{key}"][1]
-            views.append(self.flat[start:stop].reshape(len(run), *shape))
-        return views
-
-
-def _block_keys(depth: int) -> list[str]:
-    """The names of a block's arrays in MlpGrads order."""
-    return [*(f"W{l}" for l in range(depth)), *(f"b{l}" for l in range(depth)),
-            "head_w", "head_b"]
+    def stacked(self, spans) -> list[np.ndarray]:
+        """The views of a run's `spans` (see `runs`): the blocks' layer
+        weights, biases, head_w and head_b, each with a leading block
+        axis."""
+        flat = self.flat
+        return [flat[start:stop].reshape(shape) for start, stop, shape in spans]
 
 
 def _runs(blocks: list[MlpParams]) -> list[range]:
@@ -408,9 +398,17 @@ def _gather(model: PilidModel) -> ParamVector:
     starts = np.cumsum([0] + [a.size for a in arrays]).tolist()
     spans = {name: (start, start + a.size, a.shape)
              for (name, _, _), start, a in zip(slots, starts, arrays)}
+    runs = []
+    for run in _runs(model.blocks):
+        depth = len(model.blocks[run.start].weights)
+        keys = [*(f"W{l}" for l in range(depth)),
+                *(f"b{l}" for l in range(depth)), "head_w", "head_b"]
+        first = [spans[f"blk{run.start}.{key}"] for key in keys]
+        last = [spans[f"blk{run[-1]}.{key}"] for key in keys]
+        runs.append((run, [(start, stop, (len(run), *shape)) for
+                           (start, _, shape), (_, stop, _) in zip(first, last)]))
     return ParamVector(np.concatenate(arrays, axis=None), spans,
-                       starts[n_weights], model.gates_relaxed,
-                       tuple(_runs(model.blocks)))
+                       starts[n_weights], model.gates_relaxed, tuple(runs))
 
 
 def pack(model: PilidModel) -> ParamVector:
@@ -436,7 +434,7 @@ def _packed_for(model: PilidModel, relaxed: bool) -> ParamVector | None:
     if params is None or params.relaxed != relaxed:
         return None
     flat, blocks = params.flat, model.blocks
-    if (params.runs[-1].stop if params.runs else 0) != len(blocks) or \
+    if (params.runs[-1][0].stop if params.runs else 0) != len(blocks) or \
             any(blk.weights[0].base is not flat for blk in blocks) or \
             (model.pl is not None and model.pl.w.base is not flat):
         return None
@@ -549,15 +547,14 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
         U, F = locate(X, model.points)
         score, T = segment_forward(U, F, model.pl, model.points)
     passes = []
-    for run in params.runs:
-        first = model.blocks[run.start]
-        depth = len(first.weights)
-        views = params.stacked(run, depth)
-        net = _gated(views, G[run.start:run.stop], first.activation)
+    for run, spans in params.runs:
+        views = params.stacked(spans)
+        net = _gated(views, G[run.start:run.stop],
+                     model.blocks[run.start].activation)
         out, cache = mlp_forward(X, net)
         for row in out:
             score = score + row
-        passes.append((run, depth, views[0], net, cache))
+        passes.append((run, spans, views[0], net, cache))
     data, dscore = _data_loss_and_grad(score, y, model.task)
 
     # fresh per call: callers may hold a result across calls
@@ -567,8 +564,9 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
                          out={k: grad[f"pl.{k}"]
                               for k in ("w", "b", "omega", "w0")})
     dG = np.zeros_like(model.gates.log_alpha) if relaxed else None
-    for run, depth, W0, net, cache in passes:
-        views = grad.stacked(run, depth)
+    for run, spans, W0, net, cache in passes:
+        views = grad.stacked(spans)
+        depth = len(net.weights)
         mlp_backward(net, cache, dscore, out=MlpGrads(
             weights=views[:depth], biases=views[depth:-2],
             head_w=views[-2], head_b=views[-1]))
