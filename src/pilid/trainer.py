@@ -460,7 +460,8 @@ def _stack(arrays: list) -> np.ndarray:
 
 def gated_nets(blocks: list[MlpParams], G: np.ndarray) -> list[MlpParams]:
     """The networks `blocks` under their gate rows G, side by side in runs
-    of equal shape: copies, except for layers of a run of one block."""
+    of equal shape.  The arrays are stacked copies, except that a run of
+    one block views its arrays and copies only the gated first layer."""
     nets = []
     for run in _runs(blocks):
         per_block = [[*b.weights, *b.biases, b.head_w, b.head_b]
@@ -481,8 +482,8 @@ def add_block_outputs(score: np.ndarray, X: np.ndarray,
 
 
 def _finite_rows(X: np.ndarray) -> np.ndarray:
-    # Checked before the gate multiply, where inf * 0 would warn ahead of
-    # the blocks' own check.
+    # Checked once, before the wide component locates the rows, so that
+    # every model, with or without blocks, rejects them with one error.
     if not np.all(np.isfinite(X)):
         raise MlpError("non-finite input")
     return X
