@@ -4,7 +4,9 @@ Each feature j gets gamma_j+1 ordered knots over the range of the rows a
 model trains on, and occupies gamma_j entries of the encoded vector.  An
 encoded block reads ones up to the interval containing x_j, then one
 fractional entry, then zeros, so the encoding is monotone and continuous
-in every coordinate.
+in every coordinate.  The program itself never builds that encoding: it
+works from each row's segment per feature (`pl_component.locate`).
+`encode_matrix` is the reference definition the tests check it against.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from pilid.trainer import (
     block_gates,
     gate_values,
     gated_nets,
-    init_model,
+    init_training,
     loss_and_grads,
     model_forward,
     pack,
@@ -103,8 +103,9 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
     """
     if B < 1 or K < 1 or lambda0 < 0:
         raise TrainingError("need B >= 1, K >= 1, lambda0 >= 0")
-    model = init_model(data, gammas, block_widths, config,
-                       activation=activation, B=B, K=K, lambda0=lambda0)
+    model, segments = init_training(data, gammas, block_widths, config,
+                                    activation=activation, B=B, K=K,
+                                    lambda0=lambda0)
 
     # phase 1: learn gates under the order penalty
     optimizer = Adam(pack(model).flat, config)
@@ -113,8 +114,9 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
     for epoch in range(PHASE1_EPOCH_CAP):
         model.gates.temperature = max(
             TEMPERATURE_FLOOR, TEMPERATURE_START * TEMPERATURE_DECAY ** epoch)
-        phase1_trace.append(train_epoch(model, data, config, optimizer, epoch,
-                                        f"phase 1, epoch {epoch + 1}"))
+        phase1_trace.append(train_epoch(
+            model, data, segments, config, optimizer, epoch,
+            f"phase 1, epoch {epoch + 1}"))
         if estimated_orders(model.gates).max() <= K:
             capped = False
             break
@@ -128,8 +130,8 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
     model.hard_gates = gate_values(model.gates, "eval")
     drop_closed_blocks(model)
     optimizer = Adam(pack(model).flat, config)
-    phase2_trace = [train_epoch(model, data, config, optimizer, 10_000 + epoch,
-                                f"phase 2, epoch {epoch + 1}")
+    phase2_trace = [train_epoch(model, data, segments, config, optimizer,
+                                10_000 + epoch, f"phase 2, epoch {epoch + 1}")
                     for epoch in range(config.epochs)]
 
     diagnostics = {

@@ -4,9 +4,11 @@ Per-unit affine transform of the encoded vector, summed within each
 feature's block and scaled by a per-feature factor omega.  The learned
 weights read out directly as per-feature shape curves.  Training and
 prediction work from each row's segment per feature (`locate`) through one
-forward and one backward (`segment_forward`, `segment_backward`), never
-building the (N, gamma) encoding; `linear_forward` on that encoding is the
-reference definition.
+forward and one backward (`segment_forward`, `segment_backward`), and the
+least-squares start sums its normal equations in closed form from the
+same segments (`normal_equations`), so no part of the program builds the
+(N, gamma) encoding.  `linear_forward` on that encoding is kept as the
+reference definition only.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pilid.encoding import (
-    BLOCK_ROWS,
-    CharacteristicPoints,
-    check_rows,
-    encode_matrix,
-)
+from pilid.encoding import BLOCK_ROWS, CharacteristicPoints, check_rows
 
 
 class LinearComponentError(ValueError):
@@ -156,29 +153,100 @@ def curve_forward(rows: np.ndarray, params: PiecewiseLinearParams,
     return float(out[0]) if np.ndim(rows) == 1 else out
 
 
+def _above(M: np.ndarray, bounds) -> np.ndarray:
+    """Along axis 0 of M, the sum over the units above each unit in its
+    feature: out[p] = sum of M[u] for p < u < hi, for every (lo, hi) unit
+    range of `bounds`; 0 elsewhere."""
+    out = np.zeros_like(M)
+    for lo, hi in bounds:
+        np.cumsum(M[hi - 1:lo:-1], axis=0, out=out[lo:hi - 1][::-1])
+    return out
+
+
+def normal_equations(U: np.ndarray, F: np.ndarray, targets: np.ndarray,
+                     points: CharacteristicPoints):
+    """The Gram matrix Phi.T @ Phi and Phi.T @ targets of the encoded rows
+    Phi, from their located segments, without building Phi.
+
+    Row n's encoding in feature a is 1 on the units below U_a, F_a on U_a
+    and 0 above, so Phi = E S + Ft: E one-hot-encodes each row's units,
+    Ft holds its fractions on them, and S sums each feature's units above
+    a unit.  Every product then reduces to sums over the rows keyed by a
+    pair of units, taken in chunks of BLOCK_ROWS rows with `np.bincount`:
+    for features a < b, the rows' counts and sums of F_a, F_b and
+    F_a F_b at (U_a, U_b) give the (a, b) block S_a.T (E_a.T E_b S_b +
+    E_a.T Ft_b) + Ft_a.T E_b S_b + Ft_a.T Ft_b, the (b, a) block is its
+    transpose, and a feature's own block needs only each unit's count and
+    sums of F and F^2.
+    """
+    gamma, n_rows = points.total, U.shape[0]
+    lo_u = points.offsets[points.varying]
+    hi_u = lo_u + points.gammas[points.varying]
+    # per unit: row count, sums of F, F^2, targets and F * targets
+    unit = np.zeros((5, gamma))
+    # per feature a but the last: the four pair sums of its units against
+    # every unit past it, flat in (unit of a, later unit) order
+    pairs = [np.zeros((4, (hi - lo) * (gamma - hi)))
+             for lo, hi in zip(lo_u[:-1], hi_u[:-1])]
+    for start in range(0, n_rows, BLOCK_ROWS):
+        u = U[start:start + BLOCK_ROWS].T.copy()
+        f = F[start:start + BLOCK_ROWS].T.copy()
+        t = targets[start:start + BLOCK_ROWS]
+        keys = u.ravel()
+        for row, weights in enumerate((None, f, f * f,
+                                       np.broadcast_to(t, f.shape), f * t)):
+            unit[row] += np.bincount(
+                keys, None if weights is None else weights.ravel(), gamma)
+        for a, sums in enumerate(pairs):
+            width = gamma - hi_u[a]
+            key = ((u[a] - lo_u[a]) * width - hi_u[a] + u[a + 1:]).ravel()
+            fa = np.broadcast_to(f[a], f[a + 1:].shape).ravel()
+            fb = f[a + 1:].ravel()
+            for row, weights in enumerate((None, fa, fb, fa * fb)):
+                sums[row] += np.bincount(key, weights, sums.shape[1])
+
+    bounds = list(zip(lo_u, hi_u))
+    gram = np.zeros((gamma, gamma))
+    for (lo, hi), sums in zip(bounds, pairs):
+        count, fa_sum, fb_sum, fab_sum = sums.reshape(4, hi - lo, gamma - hi)
+        later = [(l - hi, h - hi) for l, h in bounds if l >= hi]
+        block = _above(_above(count.T, later).T + fb_sum, [(0, hi - lo)]) \
+            + _above(fa_sum.T, later).T + fab_sum
+        gram[lo:hi, hi:] = block
+        gram[hi:, lo:hi] = block.T
+    count, f_sum, ff_sum, t_sum, ft_sum = unit
+    tail = _above(count, bounds)
+    for lo, hi in bounds:
+        # rows above both units count 1, rows on the higher one its F
+        # (or F^2 when the units are the same)
+        k = np.arange(lo, hi)
+        top = np.maximum.outer(k, k)
+        gram[lo:hi, lo:hi] = tail[top] + f_sum[top]
+        gram[k, k] = tail[k] + ff_sum[k]
+    return gram, _above(t_sum, bounds) + ft_sum
+
+
 def init_least_squares(rows: np.ndarray, targets: np.ndarray, ridge: float,
-                       points: CharacteristicPoints) -> PiecewiseLinearParams:
-    """Ridge-regularized normal-equation fit of targets on the encoded rows,
-    summed over encoded blocks of BLOCK_ROWS rows.
+                       points: CharacteristicPoints, segments=None
+                       ) -> PiecewiseLinearParams:
+    """Ridge-regularized normal-equation fit of targets on the encoded rows
+    (`normal_equations`), from `segments`, the rows' (U, F) of `locate`,
+    when the caller holds them, else from the rows located here.
 
     Returns w from the solve, omega all ones, b zero and w0 = mean target
     (the intercept, absorbed by centering).  Wide encodings (gamma > N) are
     fine with ridge > 0.
     """
-    rows = check_rows(rows, points)
+    if segments is None:
+        segments = locate(check_rows(rows, points), points)
     targets = np.asarray(targets, dtype=np.float64)
     if ridge < 0:
         raise LinearComponentError(f"ridge must be >= 0, got {ridge}")
-    if targets.shape != (rows.shape[0],):
+    if targets.shape != (segments[0].shape[0],):
         raise LinearComponentError("rows and targets disagree on N")
     w0 = targets.mean()
-    yc = targets - w0
-    gram = ridge * np.eye(points.total)
-    rhs = np.zeros(points.total)
-    for lo in range(0, rows.shape[0], BLOCK_ROWS):
-        phi = encode_matrix(rows[lo:lo + BLOCK_ROWS], points)
-        gram += phi.T @ phi
-        rhs += phi.T @ yc[lo:lo + BLOCK_ROWS]
+    gram, rhs = normal_equations(*segments, targets - w0, points)
+    gram.flat[::points.total + 1] += ridge
     try:
         w = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:

@@ -18,7 +18,9 @@ the wide component, then block 0, block 1 and so on.
 
 Every array is optimized jointly with mini-batch Adam, without the
 (N, gamma) encoding, through one loss/gradient function and one epoch
-loop.  Training first packs the trainable arrays into one float64 vector
+loop.  The knots stay fixed for a run, so a run locates its training rows'
+segments once (`init_training`): the least-squares start and every batch
+read them.  Training first packs the trainable arrays into one float64 vector
 whose views the model's fields become (`pack`).  Each backward pass
 writes into the views of one gradient vector of the same layout, and
 Adam updates the parameter vector in place.  The weights lead the
@@ -522,7 +524,7 @@ def model_forward(model: PilidModel, x: np.ndarray):
 
 
 def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
-                   config: TrainConfig):
+                   config: TrainConfig, segments=None):
     """Loss and exact gradients for every trainable array on one batch.
 
     While the gates are relaxed: data term + lambda*Omega(wide weights) +
@@ -533,7 +535,9 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     into; the regulariser acts on its leading slice.  A model that was
     never packed is read through a copy, not rebound.  The blocks run
     side by side: one mlp_forward and one mlp_backward per run of
-    equal-shaped blocks, one for a model from `init_model`.
+    equal-shaped blocks, one for a model from `init_model`.  The wide
+    component reads `segments`, the rows' (U, F) of `locate`, when the
+    caller holds them, and otherwise locates the rows itself.
     """
     X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
@@ -545,7 +549,7 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     if model.pl is None:
         score = np.zeros(X.shape[0])
     else:
-        U, F = locate(X, model.points)
+        U, F = locate(X, model.points) if segments is None else segments
         score, T = segment_forward(U, F, model.pl, model.points)
     passes = []
     for run, spans in params.runs:
@@ -632,14 +636,19 @@ def parse_widths(spec) -> list[int]:
     return widths
 
 
-def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
-               mlp_only: bool = False, pl_init: str = "least_squares",
-               activation: str = "relu", B: int | None = None, K: int = 3,
-               lambda0: float = 0.1) -> PilidModel:
+def init_training(data: Dataset, gammas, mlp_widths, config: TrainConfig,
+                  mlp_only: bool = False, pl_init: str = "least_squares",
+                  activation: str = "relu", B: int | None = None, K: int = 3,
+                  lambda0: float = 0.1):
     """Build points and initialize the model: one always-open block
     (PiLiD), or, given B, B blocks with gate logits under order cap K and
-    pairwise pressure lambda0 (PiLiB)."""
+    pairwise pressure lambda0 (PiLiB).  Returns the model and the segments
+    (U, F) of the training rows in its wide component (None without one),
+    located once for the run: the least-squares start and every batch
+    read them, as the knots stay fixed."""
     points = build_points(data, gammas)
+    segments = None if mlp_only else \
+        locate(_finite_rows(check_rows(data.rows, points)), points)
     hidden = parse_widths(mlp_widths)
     streams = [[config.seed, 1]] if B is None else \
         [[config.seed, 100 + i] for i in range(B)]
@@ -650,7 +659,8 @@ def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     if mlp_only:
         pl = None
     elif pl_init == "least_squares":
-        pl = init_least_squares(data.rows, data.targets, config.ridge, points)
+        pl = init_least_squares(data.rows, data.targets, config.ridge, points,
+                                segments)
     elif pl_init == "gaussian":
         rng = np.random.default_rng([config.seed, 2])
         pl = PiecewiseLinearParams(
@@ -666,19 +676,31 @@ def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
             log_alpha=0.5 + 0.1 * rng.standard_normal((B, data.m)),
             K=K, lambda0=lambda0)
         means = data.rows.mean(axis=0)
-    return PilidModel(pl=pl, blocks=blocks, points=points, task=data.task,
-                      feature_names=data.feature_names, gates=gates,
-                      train_means=means)
+    model = PilidModel(pl=pl, blocks=blocks, points=points, task=data.task,
+                       feature_names=data.feature_names, gates=gates,
+                       train_means=means)
+    return model, segments
 
 
-def train_epoch(model: PilidModel, data: Dataset, config: TrainConfig,
-                optimizer: Adam, stream: int, label: str) -> float:
+def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
+               **options) -> PilidModel:
+    """The model of `init_training`, which takes the same options."""
+    return init_training(data, gammas, mlp_widths, config, **options)[0]
+
+
+def train_epoch(model: PilidModel, data: Dataset, segments,
+                config: TrainConfig, optimizer: Adam, stream: int,
+                label: str) -> float:
     """One Adam pass over the mini-batches of (config.seed, stream); returns
-    the mean batch loss.  `label` names the epoch in errors."""
+    the mean batch loss.  Each batch's segments are its rows of
+    `segments`, the located rows of `init_training`.  `label` names the
+    epoch in errors."""
     losses = []
     for idx in batches(data.n, config.batch_size, config.seed, stream):
+        located = None if segments is None else \
+            (segments[0][idx], segments[1][idx])
         value, grads = loss_and_grads(model, data.rows[idx],
-                                      data.targets[idx], config)
+                                      data.targets[idx], config, located)
         if not np.isfinite(value):
             raise TrainingError(
                 f"non-finite loss in {label}; try a smaller learning rate "
@@ -697,10 +719,11 @@ def train(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     Returns the model and the per-epoch mean training loss trace.
     Deterministic for a fixed config seed.
     """
-    model = init_model(data, gammas, mlp_widths, config, mlp_only=mlp_only,
-                       pl_init=pl_init, activation=activation)
+    model, segments = init_training(data, gammas, mlp_widths, config,
+                                    mlp_only=mlp_only, pl_init=pl_init,
+                                    activation=activation)
     optimizer = Adam(pack(model).flat, config)
-    trace = [train_epoch(model, data, config, optimizer, epoch,
+    trace = [train_epoch(model, data, segments, config, optimizer, epoch,
                          f"epoch {epoch + 1}")
              for epoch in range(config.epochs)]
     return model, trace

@@ -79,11 +79,10 @@ def test_v1_pilib_payload_reads_as_the_current_payload(tmp_path):
 
 
 def test_pilid_training_rewrites_the_current_pilid_fixture(tmp_path):
-    """Same-seed PiLiD training still writes the current fixture byte for
+    """Same-seed PiLiD training still writes trained_pilid.plm byte for
     byte, with the command in tests/data/README.md."""
     out = tmp_path / "pilid.plm"
     assert main(["train", "--data", str(ROWS), "--target", "y",
                  "--epochs", "2", "--mlp", "4-1", "--gammas", "3",
                  "--seed", "1", "--out", str(out)]) == 0
-    assert out.read_bytes() == \
-        (DATA / f"v{FORMAT_VERSION}_pilid.plm").read_bytes()
+    assert out.read_bytes() == (DATA / "trained_pilid.plm").read_bytes()

@@ -1,25 +1,29 @@
-"""The segment layer of the wide component: `locate`, `segment_forward` and
-`segment_backward` against the encoded reference, and training that never
-encodes more than one block of rows."""
+"""The segment layer of the wide component: `locate`, `segment_forward`,
+`segment_backward` and the least-squares start's normal equations against
+the encoded reference, and training that locates its rows once per run and
+never encodes them."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilid import encoding
+from pilid import encoding, trainer
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.encoding import BLOCK_ROWS, CharacteristicPoints, encode_matrix
 from pilid.pilib import train_pilib
 from pilid.pl_component import (
     PiecewiseLinearParams,
+    init_least_squares,
     linear_forward,
     locate,
+    normal_equations,
     segment_backward,
     segment_forward,
 )
-from pilid.trainer import TrainConfig, train
+from pilid.trainer import TrainConfig, loss_and_grads, train
 
 from test_prediction import random_layout, random_params, random_rows
 
@@ -60,6 +64,22 @@ class TestLocate:
                 phi[n, first:U[n, c]] = 1.0
                 phi[n, U[n, c]] = F[n, c]
         np.testing.assert_array_equal(phi, encode_matrix(X, points))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_of_the_whole_equal_the_rows_located_alone(self, seed):
+        # training locates its rows once and hands each batch its rows of
+        # the result; numerical, categorical and constant columns, rows on
+        # knots and outside the knot range
+        rng = np.random.default_rng(seed)
+        points = random_layout(rng)
+        X = random_rows(rng, points, int(rng.integers(1, 200)))
+        U, F = locate(X, points)
+        idx = rng.permutation(X.shape[0])[:int(rng.integers(1, X.shape[0] + 1))]
+        U_idx, F_idx = locate(X[idx], points)
+        assert U_idx.dtype == U.dtype and F_idx.dtype == F.dtype
+        np.testing.assert_array_equal(U[idx], U_idx)
+        assert F[idx].tobytes() == F_idx.tobytes()
 
 
 class TestSegmentForwardBackward:
@@ -104,6 +124,45 @@ class TestSegmentForwardBackward:
         assert grads["w0"] == 3.0
 
 
+def mixed_layout():
+    """A numerical grid, a constant column, irregular categorical levels
+    and a grid of one segment."""
+    return CharacteristicPoints(
+        points=[np.linspace(-1.0, 2.0, 9), np.array([3.5]),
+                np.array([-4.0, -1.0, 0.0, 2.0, 7.0]), np.array([0.0, 5.0])],
+        constant=[False, True, False, False])
+
+
+class TestNormalEquations:
+    """The least-squares start's Gram matrix and right-hand side in closed
+    form from the located segments, against the products of the encoded
+    rows.  The right-hand side sums targets of both signs, so it is
+    compared on the scale of |Phi|.T @ |targets|."""
+
+    def check(self, X, targets, points):
+        phi = encode_matrix(X, points)
+        gram, rhs = normal_equations(*locate(X, points), targets, points)
+        ref = phi.T @ phi
+        assert gram.shape == ref.shape and rhs.shape == (points.total,)
+        assert np.max(np.abs(gram - ref)) <= 1e-13 * max(np.max(ref), 1.0)
+        scale = np.max(phi.T @ np.abs(targets), initial=1.0)
+        assert np.max(np.abs(rhs - phi.T @ targets)) <= 1e-13 * scale
+
+    def test_more_rows_than_one_chunk(self):
+        rng = np.random.default_rng(11)
+        points = mixed_layout()
+        X = random_rows(rng, points, 2 * BLOCK_ROWS + 100)
+        self.check(X, rng.normal(0, 3, X.shape[0]), points)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        points = random_layout(rng)
+        X = random_rows(rng, points, int(rng.integers(1, 300)))
+        self.check(X, rng.normal(0, 1, X.shape[0]), points)
+
+
 def wide_data(n, seed=0):
     rng = np.random.default_rng(seed)
     rows = rng.uniform(0, 1, (n, 3))
@@ -115,38 +174,93 @@ def wide_data(n, seed=0):
 
 
 @pytest.fixture()
-def block_guard(monkeypatch):
-    """Make encode_matrix fail on more than BLOCK_ROWS rows, wherever the
-    program reaches it."""
+def no_encoding(monkeypatch):
+    """Make encode_matrix fail wherever the program reaches it."""
     real = encoding.encode_matrix
-    encoded = []
 
-    def guarded(rows, points):
-        assert np.shape(rows)[0] <= BLOCK_ROWS, \
-            f"encoded {np.shape(rows)[0]} rows at once"
-        encoded.append(np.shape(rows)[0])
-        return real(rows, points)
+    def refuse(rows, points):
+        raise AssertionError(f"encoded {np.shape(rows)[0]} rows")
 
     for name, module in list(sys.modules.items()):
         if (name == "pilid" or name.startswith("pilid.")) and \
                 getattr(module, "encode_matrix", None) is real:
-            monkeypatch.setattr(module, "encode_matrix", guarded)
-    return encoded
+            monkeypatch.setattr(module, "encode_matrix", refuse)
 
 
-class TestTrainingEncodesOneBlockAtATime:
+class TestTrainingNeverEncodes:
     N = 2 * BLOCK_ROWS + 100
 
-    def test_train(self, block_guard):
+    def test_train(self, no_encoding):
         data = wide_data(self.N)
         model, trace = train(data, 4, [6],
                              TrainConfig(epochs=2, batch_size=512, seed=1))
         assert len(trace) == 2 and np.all(np.isfinite(trace))
-        assert block_guard == [BLOCK_ROWS, BLOCK_ROWS, 100]   # the init only
 
-    def test_train_pilib(self, block_guard):
+    def test_train_pilib(self, no_encoding):
         data = wide_data(self.N, seed=1)
         model, diag = train_pilib(data, 4, [4], 2, 3, 0.1,
                                   TrainConfig(epochs=1, batch_size=512, seed=1))
         assert np.all(np.isfinite(diag["phase2_trace"]))
-        assert block_guard == [BLOCK_ROWS, BLOCK_ROWS, 100]
+
+    def test_least_squares_start_memory(self):
+        # beyond the located rows it is handed, the start holds a few
+        # gamma x gamma arrays and one chunk of BLOCK_ROWS rows at a time,
+        # whatever the number of rows
+        points = CharacteristicPoints(
+            points=[np.linspace(0.0, 1.0, 6)] * 6 + [np.array([2.0])],
+            constant=[False] * 6 + [True])
+        rng = np.random.default_rng(3)
+        X = random_rows(rng, points, 16 * BLOCK_ROWS)
+        y = rng.normal(0, 1, X.shape[0])
+        segments = locate(X, points)
+        tracemalloc.start()
+        try:
+            init_least_squares(X, y, 1e-8, points, segments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = BLOCK_ROWS * len(points.varying) * 8
+        assert peak <= 8 * points.total ** 2 * 8 + 16 * chunk
+
+
+@pytest.fixture()
+def locate_calls(monkeypatch):
+    """The row count of every call the trainer makes to locate."""
+    real, calls = trainer.locate, []
+
+    def counted(rows, points):
+        calls.append(np.shape(rows)[0])
+        return real(rows, points)
+
+    monkeypatch.setattr(trainer, "locate", counted)
+    return calls
+
+
+class TestLocateOncePerRun:
+    """The knots stay fixed for a run, so training locates its rows once:
+    the least-squares start and every batch read those segments."""
+
+    def test_train(self, locate_calls):
+        data = wide_data(600)
+        train(data, 4, [6], TrainConfig(epochs=3, batch_size=64, seed=1))
+        assert locate_calls == [data.n]
+
+    def test_train_pilib_shares_them_between_the_phases(self, locate_calls):
+        data = wide_data(600, seed=1)
+        model, diag = train_pilib(data, 4, [4], 3, 2, 0.1,
+                                  TrainConfig(epochs=2, batch_size=64, seed=1))
+        assert len(diag["phase1_trace"]) >= 1 and len(diag["phase2_trace"]) == 2
+        assert locate_calls == [data.n]
+
+    def test_mlp_only_locates_nothing(self, locate_calls):
+        train(wide_data(300), 4, [6], TrainConfig(epochs=2, seed=1),
+              mlp_only=True)
+        assert locate_calls == []
+
+    def test_a_batch_without_segments_locates_its_rows(self, locate_calls):
+        data = wide_data(300)
+        model, _ = train(data, 4, [6], TrainConfig(epochs=1, seed=1))
+        del locate_calls[:]
+        loss_and_grads(model, data.rows[:50], data.targets[:50],
+                       TrainConfig())
+        assert locate_calls == [50]
