@@ -20,10 +20,10 @@ Every array is optimized jointly with mini-batch Adam, without the
 (N, gamma) encoding, through one loss/gradient function and one epoch
 loop.  The knots stay fixed for a run, so a run locates its training rows'
 segments once (`init_training`): the least-squares start and every batch
-read them.  Training first packs the trainable arrays into one float64 vector
-whose views the model's fields become (`pack`).  Each backward pass
-writes into the views of one gradient vector of the same layout, and
-Adam updates the parameter vector in place.  The weights lead the
+read them.  Training first packs the trainable arrays into one float64
+vector whose views the model's fields become (`pack`).  Each backward
+pass writes into the views of one gradient vector of the same layout,
+and Adam updates the parameter vector in place.  The weights lead the
 layout, so the regulariser (on the wide weights while the gates are
 relaxed, otherwise on every weight, never on biases, omega, w0 or gate
 logits) acts on one leading slice.  Within the weights and within the

@@ -75,7 +75,8 @@ class TestLocate:
         points = random_layout(rng)
         X = random_rows(rng, points, int(rng.integers(1, 200)))
         U, F = locate(X, points)
-        idx = rng.permutation(X.shape[0])[:int(rng.integers(1, X.shape[0] + 1))]
+        n = int(rng.integers(1, X.shape[0] + 1))
+        idx = rng.permutation(X.shape[0])[:n]
         U_idx, F_idx = locate(X[idx], points)
         assert U_idx.dtype == U.dtype and F_idx.dtype == F.dtype
         np.testing.assert_array_equal(U[idx], U_idx)
@@ -249,7 +250,8 @@ class TestLocateOncePerRun:
         data = wide_data(600, seed=1)
         model, diag = train_pilib(data, 4, [4], 3, 2, 0.1,
                                   TrainConfig(epochs=2, batch_size=64, seed=1))
-        assert len(diag["phase1_trace"]) >= 1 and len(diag["phase2_trace"]) == 2
+        assert len(diag["phase1_trace"]) >= 1
+        assert len(diag["phase2_trace"]) == 2
         assert locate_calls == [data.n]
 
     def test_mlp_only_locates_nothing(self, locate_calls):
