@@ -8,6 +8,8 @@ the PiLiB variant trains several blocks whose gates reveal which
 features interact.
 """
 
+__version__ = "0.1.0"
+
 from pilid.dataset import Dataset, FeatureSpec, load_csv, split, batches
 from pilid.encoding import CharacteristicPoints, build_points, encode_matrix
 from pilid.pl_component import (

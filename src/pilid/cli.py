@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from pilid import dataset, metrics_eval, persist, pilib, synth, trainer
+from pilid import (__version__, dataset, metrics_eval, persist, pilib, synth,
+                   trainer)
 
 
 class CliError(RuntimeError):
@@ -125,12 +127,26 @@ def _add_synth_flags(p, required: bool):
     p.add_argument("--interactions", type=_ranged(int, 0), default=None)
 
 
-def _load_training_data(args):
+def _load_training_data(args) -> tuple[dataset.Dataset, dataset.Dataset]:
+    """The rows read from --data, and those the run trains on."""
     data = dataset.load_csv(args.data, args.target, _task(args.task))
     if args.split == 1.0:
-        return data
-    train_set, _ = dataset.split(data, args.split, args.seed)
-    return train_set
+        return data, data
+    return data, dataset.split(data, args.split, args.seed)[0]
+
+
+def _fingerprint(config: trainer.TrainConfig, data: dataset.Dataset) -> str:
+    """What produced a model: the training config, the count and a SHA-256
+    of the float64 rows and targets read from --data, and the versions of
+    pilid, numpy and the BLAS numpy was built with."""
+    digest = hashlib.sha256(np.ascontiguousarray(data.rows, dtype="<f8"))
+    digest.update(np.ascontiguousarray(data.targets, dtype="<f8"))
+    blas = getattr(np.__config__, "CONFIG", {}).get(
+        "Build Dependencies", {}).get("blas", {})
+    return (f"{config!r} rows={data.n} data_sha256={digest.hexdigest()} "
+            f"pilid={__version__} numpy={np.__version__} "
+            f"blas={blas.get('name', 'unknown')} "
+            f"blas_version={blas.get('version', 'unknown')}")
 
 
 def _train_config(args) -> trainer.TrainConfig:
@@ -141,13 +157,13 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    train_set = _load_training_data(args)
+    data, train_set = _load_training_data(args)
     config = _train_config(args)
     model, trace = trainer.train(train_set, args.gammas, args.mlp, config,
                                  mlp_only=args.mlp_only,
                                  pl_init=args.pl_init,
                                  activation=args.activation)
-    persist.save(model, args.out, fingerprint=repr(config))
+    persist.save(model, args.out, fingerprint=_fingerprint(config, data))
     if args.trace_out:
         persist.write_loss_trace(trace, args.trace_out)
     print(f"model written to {args.out} (final training loss {trace[-1]:.6g})")
@@ -155,12 +171,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_train_pilib(args) -> int:
-    train_set = _load_training_data(args)
+    data, train_set = _load_training_data(args)
     config = _train_config(args)
     model, diag = pilib.train_pilib(train_set, args.gammas, args.mlp,
                                     args.blocks, args.max_order, args.lambda0,
                                     config, activation=args.activation)
-    persist.save(model, args.out, fingerprint=repr(config))
+    persist.save(model, args.out, fingerprint=_fingerprint(config, data))
     if args.trace_out:
         persist.write_loss_trace(diag["phase1_trace"] + diag["phase2_trace"],
                                  args.trace_out)
@@ -216,10 +232,8 @@ def _cmd_eval(args) -> int:
                        "of the model's features")
     mat = _read_columns(args.data, model, args.target)
     targets = mat[:, -1]
-    try:
-        dataset.check_targets(targets, model.task)
-    except dataset.DatasetError as exc:
-        raise CliError(f"{args.data}: column {args.target!r}: {exc}") from None
+    dataset.check_targets(targets, model.task,
+                          f"{args.data}: column {args.target!r}: ")
     name, value = metrics_eval.evaluate(model, mat[:, :-1], targets)
     print(f"{name} {value:.6f}")
     return 0

@@ -77,10 +77,11 @@ class Dataset:
         return [s.name for s in self.specs]
 
 
-def check_targets(targets: np.ndarray, task: str) -> None:
-    """Raise DatasetError unless every classification target is 0 or 1."""
+def check_targets(targets: np.ndarray, task: str, where: str = "") -> None:
+    """Raise DatasetError, its message led by `where`, unless every
+    classification target is 0 or 1."""
     if task == CLASSIFICATION and not np.isin(targets, (0.0, 1.0)).all():
-        raise DatasetError("classification targets must be 0 or 1")
+        raise DatasetError(f"{where}classification targets must be 0 or 1")
 
 
 def infer_spec(name: str, column: np.ndarray) -> FeatureSpec:
@@ -268,6 +269,7 @@ def load_csv(path, target_column: str, task: str) -> Dataset:
         raise DatasetError(f"{path}: need at least 2 data rows, got {len(mat)}")
     t_idx = header.index(target_column)
     targets = mat[:, t_idx]
+    check_targets(targets, task, f"{path}: column {target_column!r}: ")
     rows = np.delete(mat, t_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != t_idx]
     specs = [infer_spec(name, rows[:, j]) for j, name in enumerate(names)]

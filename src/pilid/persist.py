@@ -1,21 +1,29 @@
 """Bit-exact model persistence and shape/surface export.
 
 A model file is UTF-8 text: `pilid-model <version>`, a SHA-256 checksum
-of the payload, then one key and its values per line, every real as a
-hexadecimal float, so a load reproduces the parameters bit for bit.
-Format 2 has one layout for every model: task, features, names, points,
-the wide component (`pl none`, or `pl present` and its arrays), `blocks B`
-and each block's `blk{i}.` arrays, the gates (`gates.meta none`, or
-`gates.meta` and `gates.log_alpha`), hard_gates and train_means (values
-or `none`), and the fingerprint.  Format 1 is read, not written: its
-`variant pilib` payload is a format 2 payload after that line, and its
-`variant pilid` payload stores at most one network under `mlp`.  A value
-that is no finite float fails the load, naming the file and the key.
+of the payload, then one key and its values per line, so a load
+reproduces the parameters bit for bit.  Format 3 has one layout for every
+model: task, features, names, points, the wide component (`pl none`, or
+`pl present` and its arrays), `blocks B` and each block's `blk{i}.`
+arrays, the gates (`gates.meta none`, or `gates.meta` and
+`gates.log_alpha`), hard_gates and train_means (an array or `none`), and
+the fingerprint.  An array line holds the key, the array's shape and one
+base64 token of its little-endian float64 bytes (no token when the array
+is empty); the scalars and knots a person reads (`pl.w0`, `head_b`,
+`gates.meta`, `points`) are hexadecimal floats.  Formats 1 and 2 are
+read, not written: they hold every real as a hexadecimal float, and state
+the shape of weight matrices only.  Format 1's `variant pilib` payload is
+a format 2 payload after that line, and its `variant pilid` payload
+stores at most one network under `mlp`.  A value that does not decode to
+a finite float fails the load, naming the file and the key.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
+import math
 import urllib.parse
 from pathlib import Path
 
@@ -26,7 +34,7 @@ from pilid.mlp_component import MlpParams
 from pilid.pl_component import PiecewiseLinearParams, extract_shapes
 from pilid.trainer import PilibGates, PilidModel, TrainingError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAGIC = "pilid-model"
 
 
@@ -35,19 +43,27 @@ class PersistError(ValueError):
 
 
 def _line(key: str, a) -> str:
-    """`key` and the values of `a`, or `key none` when `a` is None."""
-    if a is None:
-        return f"{key} none"
+    """`key` and the values of `a` as hexadecimal floats."""
     values = np.asarray(a, dtype=np.float64).ravel().tolist()
     return " ".join([key, *map(float.hex, values)])
+
+
+def _array_line(key: str, a) -> str:
+    """`key`, the shape of `a` and base64 of its little-endian float64
+    bytes, or `key none` when `a` is None."""
+    if a is None:
+        return f"{key} none"
+    a = np.asarray(a, dtype="<f8")
+    data = base64.b64encode(a.tobytes()).decode("ascii")
+    return " ".join([key, *map(str, a.shape), *([data] if data else [])])
 
 
 def _emit_mlp(lines: list[str], prefix: str, mlp: MlpParams):
     lines.append(f"{prefix}.meta {mlp.activation} {len(mlp.weights)}")
     for l, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        lines.append(_line(f"{prefix}.W{l} {W.shape[0]} {W.shape[1]}", W))
-        lines.append(_line(f"{prefix}.b{l}", b))
-    lines.append(_line(f"{prefix}.head_w", mlp.head_w))
+        lines.append(_array_line(f"{prefix}.W{l}", W))
+        lines.append(_array_line(f"{prefix}.b{l}", b))
+    lines.append(_array_line(f"{prefix}.head_w", mlp.head_w))
     lines.append(_line(f"{prefix}.head_b", mlp.head_b))
 
 
@@ -63,8 +79,9 @@ def _payload(model: PilidModel, fingerprint: str) -> list[str]:
     if pl is None:
         lines.append("pl none")
     else:
-        lines += ["pl present", _line("pl.w", pl.w), _line("pl.b", pl.b),
-                  _line("pl.omega", pl.omega), _line("pl.w0", pl.w0)]
+        lines += ["pl present", _array_line("pl.w", pl.w),
+                  _array_line("pl.b", pl.b), _array_line("pl.omega", pl.omega),
+                  _line("pl.w0", pl.w0)]
     lines.append(f"blocks {len(model.blocks)}")
     for i, blk in enumerate(model.blocks):
         _emit_mlp(lines, f"blk{i}", blk)
@@ -74,9 +91,9 @@ def _payload(model: PilidModel, fingerprint: str) -> list[str]:
     else:
         lines.append(f"gates.meta {float(g.temperature).hex()} {g.K} "
                      f"{float(g.lambda0).hex()} {g.B} {g.log_alpha.shape[1]}")
-        lines.append(_line("gates.log_alpha", g.log_alpha))
-    lines.append(_line("hard_gates", model.hard_gates))
-    lines.append(_line("train_means", model.train_means))
+        lines.append(_array_line("gates.log_alpha", g.log_alpha))
+    lines.append(_array_line("hard_gates", model.hard_gates))
+    lines.append(_array_line("train_means", model.train_means))
     lines.append(f"fingerprint {urllib.parse.quote(fingerprint, safe='')}")
     return lines
 
@@ -100,21 +117,41 @@ def _counted(key: str, values: list[str], count: int,
     return values
 
 
-def _floats(key: str, tokens: list[str]) -> np.ndarray:
-    """The finite floats that `tokens`, the values of `key`, encode."""
-    try:
-        a = np.array([float.fromhex(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise PersistError(f"bad float encoding in {key!r}: {exc}") from None
+def _finite(key: str, a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise PersistError(f"non-finite value in {key!r}")
     return a
 
 
+def _hex(key: str, tokens: list[str]) -> np.ndarray:
+    """The finite floats that `tokens`, hexadecimal values of `key`,
+    encode."""
+    try:
+        a = np.array([float.fromhex(t) for t in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise PersistError(f"bad float encoding in {key!r}: {exc}") from None
+    return _finite(key, a)
+
+
+def _base64(key: str, token: str, count: int) -> np.ndarray:
+    """The `count` finite floats whose little-endian float64 bytes `token`,
+    a value of `key`, holds in base64; an owning, writable array."""
+    try:
+        raw = base64.b64decode(token, validate=True)
+    except binascii.Error:
+        raise PersistError(f"bad base64 encoding in {key!r}") from None
+    if len(raw) != 8 * count:
+        raise PersistError(f"malformed model file: {key!r} holds {len(raw)} "
+                           f"bytes, not the {8 * count} of {count} float64 "
+                           f"value(s)")
+    return _finite(key, np.frombuffer(raw, dtype="<f8").astype(np.float64))
+
+
 class _Reader:
-    def __init__(self, lines: list[str]):
+    def __init__(self, lines: list[str], version: int):
         self.lines = lines
         self.pos = 0
+        self.hex_arrays = version < 3
 
     def next(self, key: str, count: int = 1, exact: bool = True) -> list[str]:
         """Values of the next line, which must be `key` with exactly
@@ -128,16 +165,45 @@ class _Reader:
         self.pos += 1
         return _counted(key, parts[1:], count, exact)
 
-    def floats(self, key: str, count: int) -> np.ndarray:
-        """A line of exactly `count` floats."""
-        return _floats(key, self.next(key, count))
+    def hex(self, key: str, count: int) -> np.ndarray:
+        """A line of exactly `count` hexadecimal floats."""
+        return _hex(key, self.next(key, count))
 
-    def optional(self, key: str, count: int) -> np.ndarray | None:
-        """A line that holds `none` or exactly `count` floats."""
+    def array(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A line that holds an array of `shape`."""
+        return self._array(key, self.next(key, 0, exact=False), shape)
+
+    def optional(self, key: str, shape: tuple[int, ...]) -> np.ndarray | None:
+        """A line that holds `none` or an array of `shape`."""
         tok = self.next(key, 0, exact=False)
-        if tok == ["none"]:
-            return None
-        return _floats(key, _counted(key, tok, count))
+        return None if tok == ["none"] else self._array(key, tok, shape)
+
+    def matrix(self, key: str) -> np.ndarray:
+        """A line that holds a matrix of the shape it states; formats 1
+        and 2 state the shape of a matrix too."""
+        tok = self.next(key, 2, exact=False)
+        shape = int(tok[0]), int(tok[1])
+        if min(shape) < 0:
+            raise PersistError(f"malformed model file: {key!r} has shape "
+                               f"{shape[0]} x {shape[1]}")
+        return self._array(key, tok[2:] if self.hex_arrays else tok, shape)
+
+    def _array(self, key: str, tok: list[str],
+               shape: tuple[int, ...]) -> np.ndarray:
+        """The array of `shape` that `tok`, the values of `key`, encode:
+        its values as hexadecimal floats before format 3; from format 3
+        its shape and one base64 token, or no token when it is empty."""
+        count = math.prod(shape)
+        if self.hex_arrays:
+            return _hex(key, _counted(key, tok, count)).reshape(shape)
+        dims = [str(n) for n in shape]
+        if tok[:len(dims)] != dims or len(tok) != len(dims) + (count > 0):
+            data = "one base64 token" if count > 0 else "no values"
+            raise PersistError(f"malformed model file: expected {key!r} with "
+                               f"shape {' '.join(dims)} and {data}, got "
+                               f"{' '.join(tok)[:40]!r}")
+        return _base64(key, tok[-1] if count > 0 else "", count
+                       ).reshape(shape)
 
 
 def _read_mlp(r: _Reader, prefix: str, m: int) -> MlpParams:
@@ -146,15 +212,12 @@ def _read_mlp(r: _Reader, prefix: str, m: int) -> MlpParams:
     weights, biases = [], []
     rows = 0
     for l in range(int(n_layers)):
-        key = f"{prefix}.W{l}"
-        tok = r.next(key, 2, exact=False)
-        rows, cols = int(tok[0]), int(tok[1])
-        weights.append(_floats(key, _counted(key, tok[2:], rows * cols)
-                               ).reshape(rows, cols))
-        biases.append(r.floats(f"{prefix}.b{l}", rows))
+        weights.append(r.matrix(f"{prefix}.W{l}"))
+        rows = weights[-1].shape[0]
+        biases.append(r.array(f"{prefix}.b{l}", (rows,)))
     mlp = MlpParams(weights=weights, biases=biases,
-                    head_w=r.floats(f"{prefix}.head_w", rows),
-                    head_b=r.floats(f"{prefix}.head_b", 1)[0],
+                    head_w=r.array(f"{prefix}.head_w", (rows,)),
+                    head_b=r.hex(f"{prefix}.head_b", 1)[0],
                     activation=activation)
     if mlp.input_dim != m:
         raise PersistError(f"malformed model file: '{prefix}.W0' has "
@@ -163,7 +226,7 @@ def _read_mlp(r: _Reader, prefix: str, m: int) -> MlpParams:
 
 
 def load(path) -> PilidModel:
-    """Load a model file of format 1 or 2 into the one model class."""
+    """Load a model file of format 1, 2 or 3 into the one model class."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -178,9 +241,9 @@ def load(path) -> PilidModel:
     if len(head) < 2:
         raise PersistError(f"{path}: missing format version")
     version = head[1]
-    if version not in ("1", str(FORMAT_VERSION)):
+    if version not in [str(v) for v in range(1, FORMAT_VERSION + 1)]:
         raise PersistError(f"{path}: unsupported format version {version} "
-                           f"(reads 1 and {FORMAT_VERSION})")
+                           f"(reads 1 to {FORMAT_VERSION})")
     check = lines[1].split() if len(lines) > 1 else []
     if len(check) != 2 or check[0] != "checksum":
         raise PersistError(f"{path}: missing checksum")
@@ -193,7 +256,7 @@ def load(path) -> PilidModel:
 
     # a PersistError, a count that is no int, or gate settings out of range
     try:
-        return _read_model(_Reader(lines[2:]), version == "1")
+        return _read_model(_Reader(lines[2:], int(version)), version == "1")
     except (ValueError, TrainingError) as exc:
         raise PersistError(f"{path}: {exc}") from None
 
@@ -210,14 +273,15 @@ def _read_model(r: _Reader, v1: bool) -> PilidModel:
     names = [urllib.parse.unquote(r.next("name", 2)[1]) for _ in range(m)]
     tok = [r.next("points", 3, exact=False) for _ in range(m)]
     points = CharacteristicPoints(
-        points=[_floats("points", t[2:]) for t in tok],
+        points=[_hex("points", t[2:]) for t in tok],
         constant=[t[1] == "const" for t in tok])
 
     pl = None
     if r.next("pl")[0] != "none":
         pl = PiecewiseLinearParams(
-            w=r.floats("pl.w", points.total), b=r.floats("pl.b", points.total),
-            omega=r.floats("pl.omega", m), w0=r.floats("pl.w0", 1)[0])
+            w=r.array("pl.w", (points.total,)),
+            b=r.array("pl.b", (points.total,)),
+            omega=r.array("pl.omega", (m,)), w0=r.hex("pl.w0", 1)[0])
 
     if variant == "pilid":
         blocks = [] if r.next("mlp")[0] == "none" \
@@ -234,18 +298,18 @@ def _read_model(r: _Reader, v1: bool) -> PilidModel:
             raise PersistError(f"malformed model file: 'gates.meta' gives "
                                f"{gB} x {gm_cols} gates for {B} blocks and "
                                f"{m} features")
-        temperature, lambda0 = _floats("gates.meta", [temperature, lambda0])
+        temperature, lambda0 = _hex("gates.meta", [temperature, lambda0])
         gates = PilibGates(
-            log_alpha=r.floats("gates.log_alpha", B * m).reshape(B, m),
+            log_alpha=r.array("gates.log_alpha", (B, m)),
             temperature=temperature, K=int(K), lambda0=lambda0)
-    hard = r.optional("hard_gates", B * m)
+    hard = r.optional("hard_gates", (B, m))
     if hard is not None and not np.isin(hard, (0.0, 1.0)).all():
         raise PersistError("malformed model file: 'hard_gates' holds a "
                            "value other than 0 and 1")
     return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
                       feature_names=names, gates=gates,
-                      hard_gates=None if hard is None else hard.reshape(B, m),
-                      train_means=r.optional("train_means", m))
+                      hard_gates=hard,
+                      train_means=r.optional("train_means", (m,)))
 
 
 def write_loss_trace(trace: list[float], path) -> None:

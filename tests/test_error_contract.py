@@ -2,6 +2,7 @@
 CSV, ends in exit code 1 and one `pilid: error:` line that names the file:
 never a traceback, a warning or a message without the path."""
 
+import base64
 import hashlib
 import io
 import warnings
@@ -17,6 +18,7 @@ from pilid.cli import main
 
 N_ROWS = 30
 DATA = Path(__file__).parent / "data"
+FIXTURES = [f"v{v}_{kind}" for v in (1, 2, 3) for kind in ("pilid", "pilib")]
 
 
 def run(*argv):
@@ -39,8 +41,8 @@ def assert_one_error_naming(path, code, err, caught):
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """A small CSV, a PiLiD and a PiLiB model trained on it, and each
-    model's predictions on it; also the format 1 fixtures, each with the
-    CSV it predicts and its predictions, keyed `v1_pilid` and `v1_pilib`."""
+    model's predictions on it; also the fixtures of every format, each with
+    the CSV it predicts and its predictions, keyed `v<format>_<kind>`."""
     d = tmp_path_factory.mktemp("contract")
     data = d / "data.csv"
     assert run("synth", "--m", "2", "--n", N_ROWS, "--seed", 3,
@@ -56,7 +58,7 @@ def saved(tmp_path_factory):
         assert run("predict", "--model", d / f"{variant}.plm", "--data", data,
                    "--out", d / "p.csv")[0] == 0
         preds[variant] = (d / "p.csv").read_bytes()
-    for variant in ("v1_pilid", "v1_pilib"):
+    for variant in FIXTURES:
         models[variant] = ((DATA / f"{variant}.plm").read_bytes(),
                            DATA / "rows.csv")
         preds[variant] = (DATA / f"{variant}.pred.csv").read_bytes()
@@ -74,9 +76,9 @@ def damage(draw, size):
 
 
 class TestDamagedModelFile:
-    @given(variant=st.sampled_from(["pilid", "pilib", "v1_pilid",
-                                    "v1_pilib"]), data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @given(variant=st.sampled_from(["pilid", "pilib", *FIXTURES]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
     def test_rejected_or_read_as_the_same_model(self, saved, variant, data):
         d, _, models, preds = saved
         raw, csv_path = models[variant]
@@ -136,8 +138,30 @@ def float_keys(fixture):
     return keys
 
 
-FIXTURE_FLOAT_KEYS = [(f, k) for f in ("v1_pilid", "v1_pilib", "v2_pilid",
-                                       "v2_pilib") for k in float_keys(f)]
+FIXTURE_FLOAT_KEYS = [(f, k) for f in FIXTURES for k in float_keys(f)]
+
+
+def is_base64(fixture, key):
+    """Whether the fixture holds the values of `key` in base64: format 3
+    does, but for the scalars and knots."""
+    return fixture.startswith("v3_") and not (
+        key in ("points", "pl.w0", "gates.meta") or key.endswith(".head_b"))
+
+
+BASE64_KEYS = [k for k in float_keys("v3_pilib") if is_base64("v3_pilib", k)]
+
+
+def rewrap(token, edit):
+    """A base64 token of `edit` of the bytes that `token` encodes."""
+    return base64.b64encode(edit(base64.b64decode(token))).decode("ascii")
+
+
+def with_value(token, at, value):
+    """A base64 token of float64 values with the one at `at` set to
+    `value`."""
+    a = np.frombuffer(base64.b64decode(token), dtype="<f8").copy()
+    a[at] = value
+    return base64.b64encode(a.tobytes()).decode("ascii")
 
 
 class TestModelFileValues:
@@ -160,13 +184,37 @@ class TestModelFileValues:
         at = 1 if key == "gates.meta" else -1
 
         def to_nan(tokens):
-            tokens[at] = "nan"
+            tokens[at] = with_value(tokens[at], 0, np.nan) \
+                if is_base64(fixture, key) else "nan"
             return tokens
 
         model = with_line(fixture, key, to_nan, tmp_path / "m.plm")
         self.predict_fails(model, tmp_path, f"non-finite value in '{key}'")
 
-    @pytest.mark.parametrize("fixture", ["v1_pilib", "v2_pilib"])
+    @pytest.mark.parametrize("key", BASE64_KEYS)
+    @pytest.mark.parametrize("damage,message", [
+        (lambda t: t[0] + "!" + t[2:], "bad base64 encoding"),
+        (lambda t: t[:-1], "bad base64 encoding"),
+        (lambda t: rewrap(t, lambda raw: raw[:-1]), "bytes, not the"),
+        (lambda t: rewrap(t, lambda raw: raw[:-8]), "bytes, not the"),
+        (lambda t: with_value(t, 0, np.nan), "non-finite value"),
+        (lambda t: with_value(t, -1, -np.inf), "non-finite value"),
+    ], ids=["non-alphabet", "padding", "bytes-not-8n", "count-not-shape",
+            "nan", "inf"])
+    def test_bad_base64_array_names_the_key(self, key, damage, message,
+                                            tmp_path):
+        def damaged(tokens):
+            tokens[-1] = damage(tokens[-1])
+            return tokens
+
+        model = with_line("v3_pilib", key, damaged, tmp_path / "m.plm")
+        self.predict_fails(model, tmp_path, message, f"'{key}'")
+        _, err, _ = run("predict", "--model", model,
+                        "--data", DATA / "rows.csv")
+        for text in ("binascii", "padding", "base64 data", "Invalid"):
+            assert text not in err, err
+
+    @pytest.mark.parametrize("fixture", ["v1_pilib", "v2_pilib", "v3_pilib"])
     @pytest.mark.parametrize("at,value", [
         (2, "0"), (1, (0.0).hex()), (1, (-1.0).hex()), (3, (-0.5).hex())],
         ids=["K=0", "temperature=0", "temperature<0", "lambda0<0"])
@@ -180,23 +228,38 @@ class TestModelFileValues:
         self.predict_fails(model, tmp_path, "need K >= 1, lambda0 >= 0, "
                                             "temperature > 0")
 
-    @pytest.mark.parametrize("fixture", ["v1_pilib", "v2_pilib"])
+    @pytest.mark.parametrize("fixture", ["v1_pilib", "v2_pilib", "v3_pilib"])
     @pytest.mark.parametrize("at,value", [(1, -3.0), (5, 0.5)])
     def test_hard_gates_other_than_0_and_1(self, fixture, at, value,
                                            tmp_path):
         def set_gate(tokens):
-            tokens[at] = value.hex()
+            if is_base64(fixture, "hard_gates"):
+                tokens[-1] = with_value(tokens[-1], at - 1, value)
+            else:
+                tokens[at] = value.hex()
             return tokens
 
         model = with_line(fixture, "hard_gates", set_gate, tmp_path / "m.plm")
         self.predict_fails(model, tmp_path, "'hard_gates' holds a value "
                                             "other than 0 and 1")
 
+    @pytest.mark.parametrize("fixture", ["v2_pilib", "v3_pilib"])
+    def test_negative_matrix_shape_names_the_key(self, fixture, tmp_path):
+        def negative(tokens):        # 4 x 3 weights become -4 x -3
+            return [tokens[0], "-4", "-3", *tokens[3:]]
+
+        model = with_line(fixture, "blk1.W0", negative, tmp_path / "m.plm")
+        self.predict_fails(model, tmp_path, "'blk1.W0' has shape -4 x -3")
+
     @pytest.mark.parametrize("fixture,key", [("v1_pilid", "mlp.W0"),
-                                             ("v2_pilib", "blk1.W0")])
+                                             ("v2_pilib", "blk1.W0"),
+                                             ("v3_pilib", "blk1.W0")])
     def test_block_input_width_must_be_the_feature_count(self, fixture, key,
                                                          tmp_path):
         def two_columns(tokens):     # 4 x 3 weights become 4 x 2
+            if is_base64(fixture, key):
+                raw = base64.b64decode(tokens[3])[:8 * 8]
+                return tokens[:2] + ["2", base64.b64encode(raw).decode()]
             return tokens[:2] + ["2"] + tokens[3:11]
 
         model = with_line(fixture, key, two_columns, tmp_path / "m.plm")
@@ -360,6 +423,21 @@ class TestEvalReader:
                                 "--target", "y")
         assert_one_error_naming(bad, code, err, caught)
         assert "must be 0 or 1" in err
+
+
+class TestTrainingTargets:
+    @pytest.mark.parametrize("command", ["train", "train-pilib"])
+    def test_classification_targets_must_be_0_or_1(self, saved, command,
+                                                   tmp_path):
+        _, data, _, _ = saved
+        model = tmp_path / "m.plm"
+        code, err, caught = run(command, "--data", data, "--target", "x1",
+                                "--task", "clf", "--epochs", 1,
+                                "--mlp", "4-1", "--out", model)
+        assert_one_error_naming(data, code, err, caught)
+        assert err == (f"pilid: error: {data}: column 'x1': classification "
+                       "targets must be 0 or 1\n")
+        assert not model.exists()
 
 
 class TestModelKind:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import re
+import urllib.parse
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pilid
 from pilid.cli import main
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.persist import (
@@ -168,10 +170,10 @@ def write_payload(path, payload_lines, version=FORMAT_VERSION):
 
 def saved_payload(variant, trained_model, path):
     """The payload lines and format version of a model file: a PiLiD or
-    PiLiB model saved to `path`, or one of the format 1 fixtures."""
-    if variant.startswith("v1_"):
+    PiLiB model saved to `path`, or one of the fixtures `v<format>_<kind>`."""
+    if variant.startswith("v"):
         lines = (DATA / f"{variant}.plm").read_text(encoding="utf-8")
-        return lines.splitlines()[2:], 1
+        return lines.splitlines()[2:], int(variant[1])
     if variant == "pilid":
         model = trained_model
     else:
@@ -181,7 +183,8 @@ def saved_payload(variant, trained_model, path):
     return path.read_text(encoding="utf-8").splitlines()[2:], FORMAT_VERSION
 
 
-VARIANTS = ["pilid", "pilib", "v1_pilid", "v1_pilib"]
+VARIANTS = ["pilid", "pilib"] + [f"v{v}_{kind}" for v in (1, 2, 3)
+                                  for kind in ("pilid", "pilib")]
 
 
 class TestValuelessKeys:
@@ -426,6 +429,25 @@ class TestCli:
                            "--out", str(p)) == 0
         assert hashlib.sha256(p1.read_bytes()).hexdigest() == \
             hashlib.sha256(p2.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("command", ["train", "train-pilib"])
+    def test_fingerprint_records_the_run(self, synth_csv, tmp_path, command):
+        out = tmp_path / "m.plm"
+        assert run_cli(command, "--data", str(synth_csv), "--target", "y",
+                       "--epochs", "1", "--mlp", "4-1", "--seed", "5",
+                       "--split", "0.5", "--out", str(out)) == 0
+        key, value = out.read_text(encoding="utf-8").splitlines()[-1].split()
+        assert key == "fingerprint"
+        config, fields = urllib.parse.unquote(value).split(") ", 1)
+        assert config + ")" == repr(TrainConfig(epochs=1, seed=5))
+        # every row of the file, the held-out half too
+        mat = np.loadtxt(synth_csv, delimiter=",", skiprows=1)
+        digest = hashlib.sha256(mat[:, :-1].tobytes() + mat[:, -1].tobytes())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert dict(f.split("=", 1) for f in fields.split(" ")) == {
+            "rows": "300", "data_sha256": digest.hexdigest(),
+            "pilid": pilid.__version__, "numpy": np.__version__,
+            "blas": blas["name"], "blas_version": blas["version"]}
 
     def test_missing_required_flag_exits_2(self):
         assert run_cli("train", "--target", "y", "--out", "x.plm") == 2
