@@ -127,12 +127,6 @@ def _add_synth_flags(p, required: bool):
     p.add_argument("--interactions", type=_ranged(int, 0), default=None)
 
 
-def _load_training_data(args) -> tuple[dataset.Dataset, dataset.Dataset]:
-    """The rows read from --data, and those the run trains on."""
-    data = dataset.load_csv(args.data, args.target, _task(args.task))
-    if args.split == 1.0:
-        return data, data
-    return data, dataset.split(data, args.split, args.seed)[0]
 
 
 def _fingerprint(config: trainer.TrainConfig, data: dataset.Dataset) -> str:
@@ -149,6 +143,17 @@ def _fingerprint(config: trainer.TrainConfig, data: dataset.Dataset) -> str:
             f"blas_version={blas.get('version', 'unknown')}")
 
 
+def _load_training_data(args, config: trainer.TrainConfig
+                        ) -> tuple[dataset.Dataset, str]:
+    """The rows of --data the run trains on, and the fingerprint its model
+    is saved with; the rows held out are not kept through training."""
+    data = dataset.load_csv(args.data, args.target, _task(args.task))
+    fingerprint = _fingerprint(config, data)
+    if args.split == 1.0:
+        return data, fingerprint
+    return dataset.split(data, args.split, args.seed)[0], fingerprint
+
+
 def _train_config(args) -> trainer.TrainConfig:
     return trainer.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                                batch_size=args.batch, lam=args.lam,
@@ -157,13 +162,13 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    data, train_set = _load_training_data(args)
     config = _train_config(args)
+    train_set, fingerprint = _load_training_data(args, config)
     model, trace = trainer.train(train_set, args.gammas, args.mlp, config,
                                  mlp_only=args.mlp_only,
                                  pl_init=args.pl_init,
                                  activation=args.activation)
-    persist.save(model, args.out, fingerprint=_fingerprint(config, data))
+    persist.save(model, args.out, fingerprint=fingerprint)
     if args.trace_out:
         persist.write_loss_trace(trace, args.trace_out)
     print(f"model written to {args.out} (final training loss {trace[-1]:.6g})")
@@ -171,12 +176,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_train_pilib(args) -> int:
-    data, train_set = _load_training_data(args)
     config = _train_config(args)
+    train_set, fingerprint = _load_training_data(args, config)
     model, diag = pilib.train_pilib(train_set, args.gammas, args.mlp,
                                     args.blocks, args.max_order, args.lambda0,
                                     config, activation=args.activation)
-    persist.save(model, args.out, fingerprint=_fingerprint(config, data))
+    persist.save(model, args.out, fingerprint=fingerprint)
     if args.trace_out:
         persist.write_loss_trace(diag["phase1_trace"] + diag["phase2_trace"],
                                  args.trace_out)
