@@ -84,6 +84,7 @@ def test_v3_fixture_holds_the_v2_fixture_bit_for_bit(kind):
     old, new = load(DATA / f"v2_{kind}.plm"), load(DATA / f"v3_{kind}.plm")
     # the PiLiB fixture keeps its closed block
     assert len(old.blocks) == len(new.blocks) == (3 if kind == "pilib" else 1)
+    assert len(arrays(old)) == len(arrays(new))
     for a, b in zip(arrays(old), arrays(new)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -105,14 +106,14 @@ def arrays(model) -> list[np.ndarray]:
 
 
 def without_versions(path) -> list[str]:
-    """The lines of a model file after its checksum, with the versions of
+    """The lines of a model file but its checksum, with the versions of
     pilid, numpy and BLAS taken out of its fingerprint: they name the
     installation, not the run."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     fields = urllib.parse.unquote(lines[-1].split()[1]).split(" ")
     kept = [f for f in fields if f.split("=")[0] not in
             ("pilid", "numpy", "blas", "blas_version")]
-    return lines[2:-1] + [" ".join(kept)]
+    return lines[:1] + lines[2:-1] + [" ".join(kept)]
 
 
 def test_pilid_training_rewrites_the_current_pilid_fixture(tmp_path):

@@ -326,6 +326,11 @@ def assert_round_trip(model, path):
     for a, b in zip(model_forward(model, X), model_forward(loaded, X)):
         np.testing.assert_array_equal(a, b)
     assert len(loaded.blocks) == len(model.blocks)
+    # decoded arrays own writable memory, not the file's read-only bytes
+    arrays = [W for blk in loaded.blocks for W in blk.weights]
+    if loaded.pl is not None:
+        arrays += [loaded.pl.w, loaded.pl.b, loaded.pl.omega]
+    assert all(a.flags.writeable for a in arrays)
     assert (loaded.gates is None) == (model.gates is None)
     assert (loaded.hard_gates is None) == (model.hard_gates is None)
     if model.hard_gates is not None:
