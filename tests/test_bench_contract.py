@@ -68,3 +68,25 @@ def test_predict_writes_what_the_benchmark_reads(tmp_path):
     _, want = trainer.model_forward(persist.load(tmp_path / "model.plm"),
                                     X_score)
     assert got.tobytes() == want.tobytes()
+
+
+def test_benchmark_pilib_checks_pass_on_a_trained_model(tmp_path,
+                                                        monkeypatch):
+    # bench/checks.py reaches into the model (its blocks, one block at a
+    # time through `dataclasses.replace`) and imports `inputs` as a
+    # top-level module
+    monkeypatch.syspath_prepend(str(BENCH))
+    from pilid import pilib
+    checks, inputs = bench_module("checks"), bench_module("inputs")
+    X, y = inputs.draw(2000, 0, 0)
+    specs = [dataset.FeatureSpec(name, "numerical")
+             for name in inputs.FEATURE_NAMES]
+    model, _ = pilib.train_pilib(
+        dataset.Dataset(rows=X, targets=y, specs=specs), 4, [6], 6, 2, 0.003,
+        trainer.TrainConfig(epochs=1, seed=0))
+    assert len(model.blocks) >= 2, "the check must see blocks side by side"
+    persist.save(model, tmp_path / "model.plm")
+    model = persist.load(tmp_path / "model.plm")
+    _, _, surface = pilib.interaction_surface(model, (0, 1), grid=5)
+    assert checks.pilib_model(model, X[:200], 2, surface, 5,
+                              pilib.pilib_forward) == []

@@ -116,13 +116,28 @@ def without_versions(path) -> list[str]:
     return lines[:1] + lines[2:-1] + [" ".join(kept)]
 
 
-def test_pilid_training_rewrites_the_current_pilid_fixture(tmp_path):
-    """Same-seed PiLiD training still writes trained_pilid.plm byte for
-    byte, with the command in tests/data/README.md, but for the versions
-    its fingerprint records."""
-    out = tmp_path / "pilid.plm"
-    assert main(["train", "--data", str(ROWS), "--target", "y",
+def trained(command, tmp_path) -> list[str]:
+    """The lines, as `without_versions` gives them, of the file that
+    `command`, a training command of tests/data/README.md, writes on the
+    fixture rows."""
+    out = tmp_path / "trained.plm"
+    assert main([*command, "--data", str(ROWS), "--target", "y",
                  "--epochs", "2", "--mlp", "4-1", "--gammas", "3",
                  "--seed", "1", "--out", str(out)]) == 0
-    assert without_versions(out) == \
+    return without_versions(out)
+
+
+def test_pilid_training_rewrites_the_current_pilid_fixture(tmp_path):
+    """Same-seed PiLiD training still writes trained_pilid.plm byte for
+    byte, but for the versions its fingerprint records."""
+    assert trained(["train"], tmp_path) == \
         without_versions(DATA / "trained_pilid.plm")
+
+
+def test_pilib_training_rewrites_the_current_pilib_fixture(tmp_path):
+    """Same-seed PiLiB training, through both phases and with its blocks
+    side by side, still writes trained_pilib.plm byte for byte, but for
+    the versions its fingerprint records."""
+    assert trained(["train-pilib", "--blocks", "3", "--max-order", "2",
+                    "--lr", "0.05"], tmp_path) == \
+        without_versions(DATA / "trained_pilib.plm")
