@@ -6,14 +6,18 @@ bias and applies its activation in place on its matmul output.  The
 backward pass writes the parameter gradients into arrays it is given,
 such as views of the trainer's one gradient vector, or into fresh ones.
 
-B networks of the same widths that read the same input run side by side
-when their arrays carry a leading block axis of length B.  Each layer's
-activations are then one (N, B*p) array, network i in columns i*p to
-(i+1)*p: the first layer is one matmul of the input with all B weight
-matrices, each later layer one matmul over (B, N, p) views of that array,
-and each bias add and activation covers the whole array.  Every network's
-output and gradients are bit for bit those of running it alone; with
-B = 1 the calls are those of one network.
+B networks of the same widths and activation that read the same input
+run side by side when their arrays carry a leading block axis of length
+B: this is how a model holds its blocks.  Such an MlpParams has length B;
+indexing it with an int gives one network as views of its arrays, and
+with an index array or mask the networks it selects, side by side.  Each
+layer's activations are then one (N, B*p) array, network i in columns
+i*p to (i+1)*p: the first layer is one matmul of the input with all B
+weight matrices, each later layer one matmul over (B, N, p) views of that
+array, and each bias add and activation covers the whole array.  Every
+network's output and gradients are bit for bit those of running it alone;
+with B = 1 the calls are those of one network.  The forward and backward
+passes need B >= 1.
 """
 
 from __future__ import annotations
@@ -73,6 +77,22 @@ class MlpParams:
     def blocks(self) -> int | None:
         """B for networks side by side, None for one network."""
         return len(self.head_b) if np.ndim(self.head_b) else None
+
+    def __len__(self) -> int:
+        if self.blocks is None:
+            raise TypeError("one network has no block axis")
+        return self.blocks
+
+    def __getitem__(self, i) -> MlpParams:
+        """Network i of networks side by side, as views of their arrays;
+        for an index array or mask, the networks it selects."""
+        return MlpParams(weights=[W[i] for W in self.weights],
+                         biases=[b[i] for b in self.biases],
+                         head_w=self.head_w[i], head_b=self.head_b[i, ...],
+                         activation=self.activation)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass

@@ -7,12 +7,15 @@ model: task, features, names, points, the wide component (`pl none`, or
 `pl present` and its arrays), `blocks B` and each block's `blk{i}.`
 arrays, the gates (`gates.meta none`, or `gates.meta` and
 `gates.log_alpha`), hard_gates and train_means (an array or `none`), and
-the fingerprint.  An array line holds the key, the array's shape and one
-base64 token of its little-endian float64 bytes (no token when the array
-is empty); the scalars and knots a person reads (`pl.w0`, `head_b`,
-`gates.meta`, `points`) are hexadecimal floats.  Formats 1 and 2 are
-read, not written: they hold every real as a hexadecimal float, and state
-the shape of weight matrices only.  Format 1's `variant pilib` payload is
+the fingerprint.  The model holds its blocks as one network with a
+leading block axis, so `blk{i}.` is block i's slice of it: blocks of
+different widths or activation make a malformed file, in every format.
+An array line holds the key, the array's shape and one base64 token of
+its little-endian float64 bytes (no token when the array is empty); the
+scalars and knots a person reads (`pl.w0`, `head_b`, `gates.meta`,
+`points`) are hexadecimal floats.  Formats 1 and 2 are read, not
+written: they hold every real as a hexadecimal float, and state the
+shape of weight matrices only.  Format 1's `variant pilib` payload is
 a format 2 payload after that line, and its `variant pilid` payload
 stores at most one network under `mlp`.  A value that does not decode to
 a finite float fails the load, naming the file and the key.
@@ -165,6 +168,14 @@ class _Reader:
         self.pos += 1
         return _counted(key, parts[1:], count, exact)
 
+    def count(self, key: str, least: int) -> int:
+        """A line of one int, which must be at least `least`."""
+        n = int(self.next(key)[0])
+        if n < least:
+            raise PersistError(f"malformed model file: {key!r} is {n}, "
+                               f"below {least}")
+        return n
+
     def hex(self, key: str, count: int) -> np.ndarray:
         """A line of exactly `count` hexadecimal floats."""
         return _hex(key, self.next(key, count))
@@ -247,11 +258,16 @@ def load(path) -> PilidModel:
     check = lines[1].split() if len(lines) > 1 else []
     if len(check) != 2 or check[0] != "checksum":
         raise PersistError(f"{path}: missing checksum")
-    stored = check[1]
-    payload = "\n".join(lines[2:])
-    if not payload.endswith("\n"):
-        payload += "\n"
-    if hashlib.sha256(payload.encode()).hexdigest() != stored:
+    # the digest of "\n".join(lines[2:]) and a newline unless that ends in
+    # one, fed line by line so that the payload is not copied whole
+    body = lines[2:]
+    if len(body) > 1 and body[-1] == "":
+        body.pop()
+    digest = hashlib.sha256()
+    for line in body or [""]:
+        digest.update(line.encode())
+        digest.update(b"\n")
+    if digest.hexdigest() != check[1]:
         raise PersistError(f"{path}: checksum mismatch (corrupt or truncated)")
 
     # a PersistError, a count that is no int, or gate settings out of range
@@ -269,7 +285,7 @@ def _read_model(r: _Reader, v1: bool) -> PilidModel:
     if variant not in ("pilid", "pilib"):
         raise PersistError(f"unknown variant {variant!r}")
     task = r.next("task")[0]
-    m = int(r.next("features")[0])
+    m = r.count("features", 1)
     names = [urllib.parse.unquote(r.next("name", 2)[1]) for _ in range(m)]
     tok = [r.next("points", 3, exact=False) for _ in range(m)]
     points = CharacteristicPoints(
@@ -288,7 +304,7 @@ def _read_model(r: _Reader, v1: bool) -> PilidModel:
             else [_read_mlp(r, "mlp", m)]
         return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
                           feature_names=names)
-    B = int(r.next("blocks")[0])
+    B = r.count("blocks", 0)
     blocks = [_read_mlp(r, f"blk{i}", m) for i in range(B)]
     gates = None
     gm = r.next("gates.meta", 1, exact=False)
@@ -306,10 +322,13 @@ def _read_model(r: _Reader, v1: bool) -> PilidModel:
     if hard is not None and not np.isin(hard, (0.0, 1.0)).all():
         raise PersistError("malformed model file: 'hard_gates' holds a "
                            "value other than 0 and 1")
-    return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
-                      feature_names=names, gates=gates,
-                      hard_gates=hard,
-                      train_means=r.optional("train_means", (m,)))
+    means = r.optional("train_means", (m,))
+    try:
+        return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
+                          feature_names=names, gates=gates, hard_gates=hard,
+                          train_means=means)
+    except TrainingError as exc:
+        raise PersistError(f"malformed model file: {exc}") from None
 
 
 def write_loss_trace(trace: list[float], path) -> None:

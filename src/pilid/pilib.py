@@ -1,19 +1,25 @@
 """Training and reading of the gated-block variant (PiLiB).
 
-PiLiB is the hybrid model of `trainer` with B same-sized blocks whose
-per-feature gates are trainable logits.  Each block sees the raw feature
-vector elementwise-multiplied by its gate row, so a block whose gate for
-feature j is zero is exactly invariant to that feature.  A penalty on the
+PiLiB is the hybrid model of `trainer` with B same-sized blocks, held as
+one network with a leading block axis, whose per-feature gates are
+trainable logits.  Each block sees the raw feature vector
+elementwise-multiplied by its gate row, so a block whose gate for feature
+j is zero is exactly invariant to that feature.  A penalty on the
 per-block gate sums caps the maximum interaction order at K and pushes
 active blocks toward pairwise interactions.  Training is two-phase: learn
 the gates under the order penalty, then freeze them hard and fine-tune
 everything else, both through `trainer.train_epoch`.  Between the phases
 every block whose hard gates are all closed is dropped: it sees an
 all-zero input, so its output is one constant, which moves into the wide
-component's w0.  A trained model therefore holds only open blocks.
+component's w0, and the network keeps the open blocks' rows of its
+arrays.  A trained model therefore holds only open blocks.  A pair's
+interaction surface is likewise the model of the blocks on that pair,
+taken out of the network by index.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -26,15 +32,12 @@ from pilid.trainer import (
     PilidModel,
     TrainConfig,
     TrainingError,
-    add_block_outputs,
     block_gates,
     gate_values,
-    gated_nets,
     init_training,
     loss_and_grads,
     model_forward,
     pack,
-    predict_in_blocks,
     train_epoch,
 )
 
@@ -74,15 +77,15 @@ def active_feature_sets(model: PilidModel) -> list[list[int]]:
 def drop_closed_blocks(model: PilidModel) -> None:
     """Remove, in place, the blocks of a gated model with hard gates whose
     gates are all 0, adding each one's output on a zero row to the wide
-    component's w0, so that the model's scores stay the same up to
-    rounding.  The open blocks keep their order, their hard gate rows and
-    their gate logits."""
+    component's w0 in block order, so that the model's scores stay the
+    same up to rounding.  The open blocks keep their order, their hard
+    gate rows and their gate logits."""
     is_open = model.hard_gates.any(axis=1)
     zero = np.zeros((1, model.m))
     for block, keep in zip(model.blocks, is_open):
         if not keep:
             model.pl.w0 += mlp_predict(zero, block)[0]
-    model.blocks = [b for b, keep in zip(model.blocks, is_open) if keep]
+    model.blocks = model.blocks[is_open]
     model.hard_gates = model.hard_gates[is_open]
     model.gates.log_alpha = model.gates.log_alpha[is_open]
 
@@ -149,10 +152,11 @@ def interaction_surface(model: PilidModel, features: tuple[int, int],
     """Grid evaluation of the block-sum restricted to blocks whose active
     feature set is contained in {a, b}, for two different features and
     grid >= 2 points per axis; other features sit at the training means.
-    All grid^2 rows go through the kept blocks side by side at once.  A
-    model from `train_pilib` has no closed block, so the surface holds no
-    closed block's constant (that is part of w0).  Returns (xs_a, xs_b,
-    surface)."""
+    The grid^2 rows are scored by `model_forward` on the model of the
+    kept blocks alone, without the wide component, so their outputs are
+    added in block order from zero.  A model from `train_pilib` has no
+    closed block, so the surface holds no closed block's constant (that is
+    part of w0).  Returns (xs_a, xs_b, surface)."""
     a, b = features
     if not (0 <= a < model.m and 0 <= b < model.m):
         raise TrainingError(f"feature index out of range: {features}")
@@ -173,8 +177,6 @@ def interaction_surface(model: PilidModel, features: tuple[int, int],
     rows = np.tile(model.train_means, (grid * grid, 1))
     rows[:, a] = np.repeat(xs_a, grid)
     rows[:, b] = np.tile(xs_b, grid)
-    nets = gated_nets([model.blocks[i] for i in keep], G[keep])
-    surface = predict_in_blocks(
-        lambda block: add_block_outputs(np.zeros(len(block)), block, nets),
-        rows)
-    return xs_a, xs_b, surface.reshape(grid, grid)
+    kept = dataclasses.replace(model, pl=None, blocks=model.blocks[keep],
+                               hard_gates=G[keep])
+    return xs_a, xs_b, model_forward(kept, rows)[0].reshape(grid, grid)

@@ -9,12 +9,14 @@ the input times its gate row:
 PiLiD is the case B = 1 with an all-ones gate row and no order penalty.
 PiLiB has B blocks whose gates are trainable logits, relaxed while they
 learn under the order penalty and then frozen to 0/1 (see
-pilib.train_pilib).  The blocks run side by side (see mlp_component):
-one network forward and one backward per batch whatever B is, with the
-gates folded into the first layer's weights, x * G[i] @ W0[i].T =
-x @ (W0[i] * G[i]).T, so the input is never copied per block.  The gate
-gradient then comes from that layer's weight gradient.  The score adds
-the wide component, then block 0, block 1 and so on.
+pilib.train_pilib).  The model holds its blocks as one network whose
+arrays carry a leading block axis of length B >= 0 (see mlp_component),
+and they run side by side: one network forward and one backward per
+batch whatever B is (none when B = 0), with the gates folded into the
+first layer's weights, x * G[i] @ W0[i].T = x @ (W0[i] * G[i]).T, so the
+input is never copied per block.  The gate gradient then comes from that
+layer's weight gradient.  The score adds the wide component, then block
+0, block 1 and so on.
 
 Every array is optimized jointly with mini-batch Adam, without the
 (N, gamma) encoding, through one loss/gradient function and one epoch
@@ -26,20 +28,21 @@ pass writes into the views of one gradient vector of the same layout,
 and Adam updates the parameter vector in place.  The weights lead the
 layout, so the regulariser (on the wide weights while the gates are
 relaxed, otherwise on every weight, never on biases, omega, w0 or gate
-logits) acts on one leading slice.  Within the weights and within the
-biases the blocks' arrays are ordered by layer: every block's W0, then
-every block's W1, and so on to every head, so each layer of all blocks
-is one (B, ...) view of the vector.  The regulariser and Adam pass over
-their vectors in chunks of CHUNK values with chunk-sized scratch, so
-each pass works within the cache.  The wide component starts from a
-least-squares fit so the optimizer begins in an interpretable region;
-the blocks start from small Gaussian weights.  Prediction computes the
-same score from the shape curves (curve_forward) and the cache-free
-block outputs (mlp_predict), in fixed-size row blocks.
+logits) acts on one leading slice.  Each layer of the blocks' network,
+every block's W0, then every block's W1 and so on to every head, and
+the biases likewise, is one (B, ...) view of the vector.  The
+regulariser and Adam pass over their vectors in chunks of CHUNK values
+with chunk-sized scratch, so each pass works within the cache.  The wide
+component starts from a least-squares fit so the optimizer begins in an
+interpretable region; the blocks start from small Gaussian weights.
+Prediction computes the same score from the shape curves (curve_forward)
+and the cache-free block outputs (mlp_predict), in fixed-size row
+blocks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -130,14 +133,17 @@ class PilidModel:
     """The hybrid model: a wide component plus blocks that each see the
     input times their gate row.
 
-    `pl` is None for the plain-MLP baseline.  Without gate logits (PiLiD)
-    `hard_gates` defaults to all ones and the model is one always-open
-    block.  With logits (PiLiB) the gates are relaxed while `hard_gates`
-    is None, and frozen to its 0/1 rows once it is set.
+    `pl` is None for the plain-MLP baseline.  `blocks` holds the B >= 0
+    blocks as one network with a leading block axis (see mlp_component);
+    a list of networks of equal widths and activation is stacked into
+    one, here and nowhere else.  Without gate logits (PiLiD) `hard_gates`
+    defaults to all ones and the model is one always-open block.  With
+    logits (PiLiB) the gates are relaxed while `hard_gates` is None, and
+    frozen to its 0/1 rows once it is set.
     """
 
     pl: PiecewiseLinearParams | None
-    blocks: list[MlpParams]
+    blocks: MlpParams
     points: CharacteristicPoints
     task: str
     feature_names: list[str] = field(default_factory=list)
@@ -149,6 +155,8 @@ class PilidModel:
                                        compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.blocks, MlpParams):
+            self.blocks = _stacked(list(self.blocks), self.m)
         if self.gates is None and self.hard_gates is None:
             self.hard_gates = np.ones((len(self.blocks), self.m))
 
@@ -158,13 +166,31 @@ class PilidModel:
 
     @property
     def mlp(self) -> MlpParams | None:
-        """The network of a one-block (PiLiD) model."""
-        return self.blocks[0] if self.blocks else None
+        """The network of a one-block (PiLiD) model, as views."""
+        return self.blocks[0] if len(self.blocks) else None
 
     @property
     def gates_relaxed(self) -> bool:
         """True while the gate logits train (PiLiB phase 1)."""
         return self.gates is not None and self.hard_gates is None
+
+
+def _stacked(nets: list[MlpParams], m: int) -> MlpParams:
+    """The networks `nets` on m features side by side, in copies of their
+    arrays; with none, a zero-width layer on the m features."""
+    if len({(n.activation, *(W.shape for W in n.weights))
+            for n in nets}) > 1:
+        raise TrainingError("the blocks differ in widths or activation")
+    if not nets:
+        return MlpParams(weights=[np.zeros((0, 0, m))],
+                         biases=[np.zeros((0, 0))], head_w=np.zeros((0, 0)),
+                         head_b=np.zeros(0))
+    return MlpParams(
+        weights=[np.stack(W) for W in zip(*(n.weights for n in nets))],
+        biases=[np.stack(b) for b in zip(*(n.biases for n in nets))],
+        head_w=np.stack([n.head_w for n in nets]),
+        head_b=np.stack([n.head_b for n in nets]),
+        activation=nets[0].activation)
 
 
 # Kingma & Ba's defaults (arXiv:1412.6980), used by every run.
@@ -304,16 +330,13 @@ def _data_loss_and_grad(score: np.ndarray, y: np.ndarray, task: str):
 class ParamVector(Mapping):
     """Named arrays held as views into one float64 vector, `flat`, in the
     order of `param_arrays`.  `spans` maps each name to its (start, stop,
-    shape); the first `n_reg` values are the regularised weights.  `runs`
-    holds, for each run of blocks laid out by layer, its range of blocks
-    and the spans of its arrays as views with a leading block axis, in
-    MlpGrads order (`stacked`)."""
+    shape); the first `n_reg` values are the regularised weights.  The
+    blocks' arrays are one view per layer with a leading block axis."""
 
     def __init__(self, flat: np.ndarray, spans: dict, n_reg: int,
-                 relaxed: bool, runs: tuple = ()):
+                 relaxed: bool):
         self.flat, self.spans, self.n_reg = flat, spans, n_reg
         self.relaxed = relaxed      # the gate state the layout was made for
-        self.runs = runs
 
     def __getitem__(self, name: str) -> np.ndarray:
         start, stop, shape = self.spans[name]
@@ -327,30 +350,7 @@ class ParamVector(Mapping):
 
     def like(self, flat: np.ndarray) -> ParamVector:
         """Another vector of this layout, such as a gradient."""
-        return ParamVector(flat, self.spans, self.n_reg, self.relaxed,
-                           self.runs)
-
-    def stacked(self, spans) -> list[np.ndarray]:
-        """The views of a run's `spans` (see `runs`): the blocks' layer
-        weights, biases, head_w and head_b, each with a leading block
-        axis."""
-        flat = self.flat
-        return [flat[start:stop].reshape(shape) for start, stop, shape in spans]
-
-
-def _runs(blocks: list[MlpParams]) -> list[range]:
-    """The blocks in runs of consecutive ones with equal widths and
-    activation, which run side by side: one run for blocks made by
-    `init_model`."""
-    runs, last = [], None
-    for i, blk in enumerate(blocks):
-        kind = (blk.activation, *(W.shape for W in blk.weights))
-        if kind == last:
-            runs[-1] = range(runs[-1].start, i + 1)
-        else:
-            runs.append(range(i, i + 1))
-        last = kind
-    return runs
+        return ParamVector(flat, self.spans, self.n_reg, self.relaxed)
 
 
 def _slots(model: PilidModel):
@@ -359,22 +359,20 @@ def _slots(model: PilidModel):
     first (the wide weights, then the blocks' layer and head weights),
     then the biases, omega and w0, then the blocks' biases, then the gate
     logits, which train only while they are relaxed.  The blocks' arrays
-    are ordered by layer within each run: every block's W0, then every
-    W1, ..., every head_w, and the biases likewise.  Only weights are
+    are one per layer, each with a leading block axis: blocks.W0, ...,
+    blocks.head_w, and the biases likewise.  Only weights are
     regularised, and while the gates are relaxed only the wide
     weights."""
     weights, rest = [], []
     if model.pl is not None:
         weights.append(("pl.w", model.pl, "w"))
         rest += [(f"pl.{k}", model.pl, k) for k in ("b", "omega", "w0")]
-    for run in _runs(model.blocks):
-        blocks = [(i, model.blocks[i]) for i in run]
-        depth = len(blocks[0][1].weights)
-        for l in range(depth):
-            weights += [(f"blk{i}.W{l}", blk.weights, l) for i, blk in blocks]
-            rest += [(f"blk{i}.b{l}", blk.biases, l) for i, blk in blocks]
-        weights += [(f"blk{i}.head_w", blk, "head_w") for i, blk in blocks]
-        rest += [(f"blk{i}.head_b", blk, "head_b") for i, blk in blocks]
+    net = model.blocks
+    weights += [(f"blocks.W{l}", net.weights, l)
+                for l in range(len(net.weights))]
+    weights.append(("blocks.head_w", net, "head_w"))
+    rest += [(f"blocks.b{l}", net.biases, l) for l in range(len(net.biases))]
+    rest.append(("blocks.head_b", net, "head_b"))
     if not model.gates_relaxed:
         return weights + rest, len(weights)
     rest.append(("gates.log_alpha", model.gates, "log_alpha"))
@@ -400,17 +398,8 @@ def _gather(model: PilidModel) -> ParamVector:
     starts = np.cumsum([0] + [a.size for a in arrays]).tolist()
     spans = {name: (start, start + a.size, a.shape)
              for (name, _, _), start, a in zip(slots, starts, arrays)}
-    runs = []
-    for run in _runs(model.blocks):
-        depth = len(model.blocks[run.start].weights)
-        keys = [*(f"W{l}" for l in range(depth)),
-                *(f"b{l}" for l in range(depth)), "head_w", "head_b"]
-        first = [spans[f"blk{run.start}.{key}"] for key in keys]
-        last = [spans[f"blk{run[-1]}.{key}"] for key in keys]
-        runs.append((run, [(start, stop, (len(run), *shape)) for
-                           (start, _, shape), (_, stop, _) in zip(first, last)]))
     return ParamVector(np.concatenate(arrays, axis=None), spans,
-                       starts[n_weights], model.gates_relaxed, tuple(runs))
+                       starts[n_weights], model.gates_relaxed)
 
 
 def pack(model: PilidModel) -> ParamVector:
@@ -433,54 +422,18 @@ def _packed_for(model: PilidModel, relaxed: bool) -> ParamVector | None:
     views of it for this gate state; a deep copy of the model, a change
     of its blocks or of its gate state since then unbinds them."""
     params = model.packed
-    if params is None or params.relaxed != relaxed:
-        return None
-    flat, blocks = params.flat, model.blocks
-    if (params.runs[-1][0].stop if params.runs else 0) != len(blocks) or \
-            any(blk.weights[0].base is not flat for blk in blocks) or \
-            (model.pl is not None and model.pl.w.base is not flat):
+    if params is None or params.relaxed != relaxed or \
+            model.blocks.weights[0].base is not params.flat or \
+            (model.pl is not None and model.pl.w.base is not params.flat):
         return None
     return params
 
 
-def _gated(arrays: list[np.ndarray], G: np.ndarray,
-           activation: str) -> MlpParams:
-    """Blocks side by side from their stacked arrays in MlpGrads order,
-    with their gate rows G folded into the first layer's weights."""
-    depth = (len(arrays) - 2) // 2
-    return MlpParams(weights=[arrays[0] * G[:, None, :], *arrays[1:depth]],
-                     biases=arrays[depth:-2], head_w=arrays[-2],
-                     head_b=arrays[-1], activation=activation)
-
-
-def _stack(arrays: list) -> np.ndarray:
-    """Arrays of one shape along a new leading axis: a view when there is
-    one."""
-    return np.asarray(arrays[0])[None] if len(arrays) == 1 else \
-        np.stack(arrays)
-
-
-def gated_nets(blocks: list[MlpParams], G: np.ndarray) -> list[MlpParams]:
-    """The networks `blocks` under their gate rows G, side by side in runs
-    of equal shape.  The arrays are stacked copies, except that a run of
-    one block views its arrays and copies only the gated first layer."""
-    nets = []
-    for run in _runs(blocks):
-        per_block = [[*b.weights, *b.biases, b.head_w, b.head_b]
-                     for b in blocks[run.start:run.stop]]
-        nets.append(_gated([_stack(a) for a in zip(*per_block)],
-                           G[run.start:run.stop], blocks[run.start].activation))
-    return nets
-
-
-def add_block_outputs(score: np.ndarray, X: np.ndarray,
-                      nets: list[MlpParams]) -> np.ndarray:
-    """`score` plus the output on the (N, m) rows X of every block of
-    `nets`, added in block order."""
-    for net in nets:
-        for out in mlp_predict(X, net):
-            score = score + out
-    return score
+def _gated(blocks: MlpParams, G: np.ndarray) -> MlpParams:
+    """The blocks side by side with their gate rows G folded into a copy
+    of the first layer's weights; the other arrays are the blocks' own."""
+    return dataclasses.replace(blocks, weights=[
+        blocks.weights[0] * G[:, None, :], *blocks.weights[1:]])
 
 
 def _finite_rows(X: np.ndarray) -> np.ndarray:
@@ -491,32 +444,26 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def predict_in_blocks(score_rows, X: np.ndarray) -> np.ndarray:
-    """Apply `score_rows` to X in consecutive blocks of BLOCK_ROWS rows and
-    join the results, so inference memory is bounded by the block, not by
-    N."""
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], BLOCK_ROWS):
-        out[lo:lo + BLOCK_ROWS] = score_rows(X[lo:lo + BLOCK_ROWS])
-    return out
-
-
 def model_forward(model: PilidModel, x: np.ndarray):
     """Returns (score, prediction) for a single vector or an (N, m) batch:
     the raw score is the wide component plus every block's output on its
     gated input, and the prediction is the score for regression or its
     sigmoid for classification.  Read from the shape curves
-    (`curve_forward`) and cache-free blocks, in fixed-size row blocks."""
+    (`curve_forward`) and cache-free blocks, BLOCK_ROWS rows at a time, so
+    that inference memory is bounded by that, not by N; the blocks'
+    outputs are added in block order."""
     single = np.ndim(x) == 1
     X = _finite_rows(check_rows(x, model.points))
-    nets = gated_nets(model.blocks, block_gates(model))
-
-    def score_rows(rows):
-        score = np.zeros(rows.shape[0]) if model.pl is None \
+    net = _gated(model.blocks, block_gates(model)) if len(model.blocks) \
+        else None
+    score = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], BLOCK_ROWS):
+        rows = X[lo:lo + BLOCK_ROWS]
+        part = np.zeros(rows.shape[0]) if model.pl is None \
             else curve_forward(rows, model.pl, model.points)
-        return add_block_outputs(score, rows, nets)
-
-    score = predict_in_blocks(score_rows, X)
+        for out in () if net is None else mlp_predict(rows, net):
+            part = part + out
+        score[lo:lo + BLOCK_ROWS] = part
     pred = sigmoid(score) if model.task == CLASSIFICATION else score
     if single:
         return float(score[0]), float(pred[0])
@@ -534,10 +481,10 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     the layout of `param_arrays`, whose views the backward passes write
     into; the regulariser acts on its leading slice.  A model that was
     never packed is read through a copy, not rebound.  The blocks run
-    side by side: one mlp_forward and one mlp_backward per run of
-    equal-shaped blocks, one for a model from `init_model`.  The wide
-    component reads `segments`, the rows' (U, F) of `locate`, when the
-    caller holds them, and otherwise locates the rows itself.
+    side by side: one mlp_forward and one mlp_backward for all of them,
+    none when there is no block.  The wide component reads `segments`,
+    the rows' (U, F) of `locate`, when the caller holds them, and
+    otherwise locates the rows itself.
     """
     X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
@@ -551,15 +498,12 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     else:
         U, F = locate(X, model.points) if segments is None else segments
         score, T = segment_forward(U, F, model.pl, model.points)
-    passes = []
-    for run, spans in params.runs:
-        views = params.stacked(spans)
-        net = _gated(views, G[run.start:run.stop],
-                     model.blocks[run.start].activation)
+    blocks = model.blocks
+    if len(blocks):
+        net = _gated(blocks, G)
         out, cache = mlp_forward(X, net)
         for row in out:
             score = score + row
-        passes.append((run, spans, views[0], net, cache))
     data, dscore = _data_loss_and_grad(score, y, model.task)
 
     # fresh per call: callers may hold a result across calls
@@ -569,17 +513,18 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
                          out={k: grad[f"pl.{k}"]
                               for k in ("w", "b", "omega", "w0")})
     dG = np.zeros_like(model.gates.log_alpha) if relaxed else None
-    for run, spans, W0, net, cache in passes:
-        views = grad.stacked(spans)
+    if len(blocks):
         depth = len(net.weights)
+        gW0 = grad["blocks.W0"]
         mlp_backward(net, cache, dscore, out=MlpGrads(
-            weights=views[:depth], biases=views[depth:-2],
-            head_w=views[-2], head_b=views[-1]))
-        # views[0] holds the gradient of W0 * G; split it by the product
-        # rule, the gates' share summed over each block's units
+            weights=[grad[f"blocks.W{l}"] for l in range(depth)],
+            biases=[grad[f"blocks.b{l}"] for l in range(depth)],
+            head_w=grad["blocks.head_w"], head_b=grad["blocks.head_b"]))
+        # gW0 holds the gradient of W0 * G; split it by the product rule,
+        # the gates' share summed over each block's units
         if relaxed:
-            dG[run.start:run.stop] = np.sum(views[0] * W0, axis=1)
-        views[0] *= G[run.start:run.stop, None, :]
+            dG = np.sum(gW0 * blocks.weights[0], axis=1)
+        gW0 *= G[:, None, :]
 
     total = data
     if relaxed:

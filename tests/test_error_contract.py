@@ -250,6 +250,15 @@ class TestModelFileValues:
         model = with_line(fixture, "blk1.W0", negative, tmp_path / "m.plm")
         self.predict_fails(model, tmp_path, "'blk1.W0' has shape -4 x -3")
 
+    @pytest.mark.parametrize("key,count", [("blocks", "-1"),
+                                           ("features", "0"),
+                                           ("features", "-1")])
+    def test_count_out_of_range_names_the_key(self, key, count, tmp_path):
+        model = with_line("v3_pilid", key, lambda tokens: [key, count],
+                          tmp_path / "m.plm")
+        self.predict_fails(model, tmp_path, "malformed model file: "
+                                            f"'{key}' is {count}, below")
+
     @pytest.mark.parametrize("fixture,key", [("v1_pilid", "mlp.W0"),
                                              ("v2_pilib", "blk1.W0"),
                                              ("v3_pilib", "blk1.W0")])

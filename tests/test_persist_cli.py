@@ -125,6 +125,25 @@ class TestCorruption:
         with pytest.raises(PersistError, match="checksum"):
             load(path)
 
+    def test_blank_line_after_the_payload_keeps_the_checksum(
+            self, trained_model, tmp_path):
+        path = tmp_path / "model.plm"
+        save(trained_model, path)
+        with path.open("a", encoding="utf-8") as f:
+            f.write("\n")
+        X = np.random.default_rng(2).uniform(0.0, 1.0, (20, 3))
+        np.testing.assert_array_equal(model_forward(load(path), X)[0],
+                                      model_forward(trained_model, X)[0])
+
+    def test_checksum_of_a_file_without_payload_lines(self, tmp_path):
+        # the checksum of no payload line is that of one newline
+        digest = hashlib.sha256(b"\n").hexdigest()
+        path = tmp_path / "empty.plm"
+        path.write_text(f"pilid-model {FORMAT_VERSION}\nchecksum {digest}\n")
+        with pytest.raises(PersistError, match="truncated model file: "
+                                               "expected 'task'"):
+            load(path)
+
     def test_future_version_rejected(self, trained_model, tmp_path):
         path = tmp_path / "model.plm"
         save(trained_model, path)
@@ -291,6 +310,33 @@ class TestOneModelLayouts:
         assert_round_trip(model_of_kind(kind, trained_model),
                           tmp_path / "model.plm")
 
+    @pytest.mark.parametrize("differ", ["widths", "activation"])
+    def test_blocks_that_differ_in_shape_are_malformed(
+            self, differ, trained_model, tmp_path):
+        # no writer makes such a file: a model holds its blocks as one
+        # network, of one set of widths and one activation
+        path = tmp_path / "model.plm"
+        save(model_of_kind("two_blocks_no_logits", trained_model), path)
+        payload = path.read_text(encoding="utf-8").splitlines()[2:]
+        i = next(i for i, line in enumerate(payload)
+                 if line.startswith("blk1."))
+        if differ == "widths":
+            save(train(toy_data(), 4, [5], TrainConfig(epochs=1, seed=2))[0],
+                 path)
+            other = [line.replace("blk0.", "blk1.", 1) for line in
+                     path.read_text(encoding="utf-8").splitlines()
+                     if line.startswith("blk0.")]
+            payload[i:i + len(other)] = other
+        else:
+            assert payload[i] == "blk1.meta relu 1"
+            payload[i] = "blk1.meta tanh 1"
+        write_payload(path, payload)
+        with pytest.raises(PersistError, match=f"^{re.escape(str(path))}: "
+                                               "malformed model file: the "
+                                               "blocks differ in widths or "
+                                               "activation$"):
+            load(path)
+
 
 def model_of_kind(kind, pilid_model):
     """One of the models the class holds, built from a trained PiLiD
@@ -301,7 +347,7 @@ def model_of_kind(kind, pilid_model):
         return train(toy_data(), 3, [4], TrainConfig(epochs=1, seed=1),
                      mlp_only=True)[0]
     if kind == "two_blocks_no_logits":
-        other = train(toy_data(), 4, [5], TrainConfig(epochs=1, seed=2))[0]
+        other = train(toy_data(), 4, [6], TrainConfig(epochs=1, seed=2))[0]
         return dataclasses.replace(pilid_model,
                                    blocks=[pilid_model.mlp, other.mlp],
                                    hard_gates=np.array([[1.0, 0.0, 1.0],
@@ -628,7 +674,7 @@ class TestCli:
         assert "max interaction order 0" in capsys.readouterr().out
         assert diag_path.read_text() == "block,order,features\n"
         model = load(model_path)
-        assert model.blocks == [] and model.gates.B == 0
+        assert len(model.blocks) == 0 and model.gates.B == 0
         X = np.random.default_rng(3).uniform(-0.5, 1.5, (50, 3))
         np.testing.assert_array_equal(model_forward(model, X)[0],
                                       curve_forward(X, model.pl, model.points))

@@ -268,8 +268,9 @@ def hardened(data, G):
                          log_alpha=np.where(G > 0, 9.0, -9.0))
     rng = np.random.default_rng(1)
     for blk in model.blocks:
-        blk.biases = [rng.normal(0.0, 0.5, b.shape) for b in blk.biases]
-        blk.head_b = rng.normal(0.0, 0.5)
+        for b in blk.biases:
+            b[...] = rng.normal(0.0, 0.5, b.shape)
+        blk.head_b[...] = rng.normal(0.0, 0.5)
     model.hard_gates = G
     return model
 

@@ -375,17 +375,21 @@ def blocks_reference(model, X, y):
         wide = segment_backward(U, F, T, up, model.pl, model.points)
         grads.update({f"pl.{k}": v for k, v in wide.items()})
     dG = np.zeros_like(G)
+    per_block = []
     for i, (blk, cache) in enumerate(zip(model.blocks, caches)):
-        grads[f"blk{i}.head_w"] = cache[-1].T @ up
-        grads[f"blk{i}.head_b"] = np.sum(up)
+        g = {"head_w": cache[-1].T @ up, "head_b": np.sum(up)}
         delta = np.outer(up, blk.head_w)
         for l in range(len(blk.weights) - 1, -1, -1):
             h = cache[l + 1]
             delta *= (h > 0) if blk.activation == "relu" else 1.0 - h * h
-            grads[f"blk{i}.W{l}"] = delta.T @ cache[l]
-            grads[f"blk{i}.b{l}"] = np.sum(delta, axis=0)
+            g[f"W{l}"] = delta.T @ cache[l]
+            g[f"b{l}"] = np.sum(delta, axis=0)
             delta = delta @ blk.weights[l]
         dG[i] = (delta * X).sum(axis=0)
+        per_block.append(g)
+    # the model holds each layer of all blocks as one array
+    grads.update({f"blocks.{k}": np.stack([g[k] for g in per_block])
+                  for k in per_block[0]})
     if relaxed:
         gates = model.gates
         khat = G.sum(axis=1)
@@ -421,7 +425,8 @@ class TestBlocksReference:
                            B=None if pilid else B)
         rng = np.random.default_rng(7)
         for blk in model.blocks:
-            blk.biases = [rng.normal(0, 0.3, b.shape) for b in blk.biases]
+            for b in blk.biases:
+                b[...] = rng.normal(0, 0.3, b.shape)
         pack(model)
         return model, data, cfg
 
