@@ -18,7 +18,8 @@ import numpy as np
 
 from pilid.dataset import Dataset, FeatureSpec
 
-# Rows per block for prediction and the least-squares start; bounds memory
+# Rows per block for prediction, for locating rows (`pl_component.locate`)
+# and for the least-squares start; bounds their scratch memory
 # independently of N.  Of 1024-8192 rows, 2048 predicted fastest on all
 # three benchmark models (one BLAS thread): larger blocks' temporaries were
 # faulted in afresh on every block, smaller ones lose BLAS efficiency.

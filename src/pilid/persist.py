@@ -246,6 +246,7 @@ def load(path) -> PilidModel:
         raise PersistError(f"{path}: not a model file (invalid UTF-8 at "
                            f"byte {exc.start})") from None
     lines = text.splitlines()
+    del text    # the lines alone are parsed; one copy of the file is enough
     head = lines[0].split() if lines else []
     if head[:1] != [MAGIC]:
         raise PersistError(f"{path}: not a model file")

@@ -3,8 +3,11 @@
 Per-unit affine transform of the encoded vector, summed within each
 feature's block and scaled by a per-feature factor omega.  The learned
 weights read out directly as per-feature shape curves.  Training and
-prediction work from each row's segment per feature (`locate`) through one
-forward and one backward (`segment_forward`, `segment_backward`), and the
+prediction work from each row's segment per feature through one forward
+and one backward (`segment_forward`, `segment_backward`).  `locate` finds
+the segments with no search: it guesses each row's unit from the
+feature's knot span and steps the guess onto the knots that hold the row,
+BLOCK_ROWS rows at a time, so its units equal a binary search's.  The
 least-squares start sums its normal equations in closed form from the
 same segments (`normal_equations`), so no part of the program builds the
 (N, gamma) encoding.  `linear_forward` on that encoding is kept as the
@@ -93,13 +96,66 @@ def locate(rows: np.ndarray, points: CharacteristicPoints):
     row's encoding is 1 on the units below U, F on U and 0 above, as
     encode_matrix computes it: a row on inner knot k lands in unit k with
     F = 0, and rows past either end get F = 0 or 1 in the end unit.
+
+    U is the number of the feature's inner knots at or below x, found by
+    arithmetic rather than a search: BLOCK_ROWS rows at a time, over all
+    varying features at once, the guess (x - first knot) * gamma_j / span
+    is clamped to the feature's units and then stepped to the unit whose
+    knots hold x, until no row moves.  The guess is exact or one off for
+    evenly spaced knots, and irregular ones take at most gamma_j steps.
+    Scratch memory is a fixed number of arrays of one block's size.
     """
-    X = rows[:, points.varying]
-    U = np.empty(X.shape, dtype=np.intp)
-    for c, j in enumerate(points.varying):
-        U[:, c] = np.searchsorted(points.points[j][1:-1], X[:, c], side="right")
-    U += points.offsets[points.varying]
-    return U, np.clip((X - points.seg_start[U]) / points.seg_width[U], 0.0, 1.0)
+    n_rows, varying = rows.shape[0], points.varying
+    U = np.empty((n_rows, len(varying)), dtype=np.intp)
+    F = np.empty(U.shape)
+    first_unit = points.offsets[varying]
+    # unit u holds lower[u] <= x < upper[u]; the end units reach to -inf
+    # and +inf, and x is capped at the last knot (which takes NaN and
+    # +inf there too), so a row never steps out of its feature
+    lower = points.seg_start.copy()
+    lower[points.offsets] = -np.inf
+    upper = np.append(points.seg_start[1:], np.inf)
+    upper[points.offsets + points.gammas - 1] = np.inf
+    first = points.seg_start[first_unit]
+    last = np.array([points.points[j][-1] for j in varying])
+    top = points.gammas[varying] - 1.0     # the last unit, from the first
+    # 0 * inf, and spans or distances that overflow, give NaN or inf
+    # guesses, which the clamp turns into a bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_unit = (top + 1.0) / (last - first)
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            x = rows[lo:lo + BLOCK_ROWS, varying]
+            capped = np.fmin(x, last)
+            guess = np.subtract(capped, first)
+            guess *= per_unit
+            np.fmax(guess, 0.0, out=guess)
+            np.fmin(guess, top, out=guess)
+            u = U[lo:lo + BLOCK_ROWS]
+            u[...] = guess
+            u += first_unit
+            _settle(u.reshape(-1), capped.reshape(-1), lower, upper)
+            f = F[lo:lo + BLOCK_ROWS]
+            np.subtract(x, points.seg_start[u], out=f)
+            f /= points.seg_width[u]
+            np.clip(f, 0.0, 1.0, out=f)
+    return U, F
+
+
+def _settle(u: np.ndarray, x: np.ndarray, lower: np.ndarray,
+            upper: np.ndarray):
+    """Step each unit index of the flat u, in place, one unit per pass
+    towards the unit with lower[u] <= x < upper[u]; a pass reads only the
+    entries that moved in the one before."""
+    at, ui, xi = None, u, x
+    while True:
+        up, down = xi >= upper[ui], xi < lower[ui]
+        moved = np.flatnonzero(up | down)
+        if not moved.size:
+            return
+        at = moved if at is None else at[moved]
+        ui = ui[moved] + up[moved] - down[moved]
+        xi = xi[moved]
+        u[at] = ui
 
 
 def segment_forward(U: np.ndarray, F: np.ndarray, params: PiecewiseLinearParams,

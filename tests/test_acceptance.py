@@ -129,7 +129,8 @@ class TestCriterion03SingleIntervalLinearity:
         data, _ = generate(SyntheticSpec(m=3, n=500, seed=3))
         model, _ = train(data, 1, [4], TrainConfig(epochs=2, batch_size=128,
                                                    seed=2))
-        model.blocks = []  # isolate the wide component
+        # isolate the wide component: the same model without blocks
+        model = dataclasses.replace(model, blocks=[], hard_gates=None)
         rng = np.random.default_rng(5)
         worst = 0.0
         for j in range(3):

@@ -5,6 +5,7 @@ never encodes them."""
 
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,102 @@ def reference_grads(phi, dscore, params, points):
             "omega": terms.T @ dscore, "w0": dscore.sum()}
 
 
+def locate_reference(rows, points):
+    """locate by one binary search per feature: U counts the feature's
+    inner knots at or below x."""
+    X = rows[:, points.varying]
+    U = np.empty(X.shape, dtype=np.intp)
+    for c, j in enumerate(points.varying):
+        U[:, c] = np.searchsorted(points.points[j][1:-1], X[:, c],
+                                  side="right")
+    U += points.offsets[points.varying]
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = np.clip((X - points.seg_start[U]) / points.seg_width[U], 0.0, 1.0)
+    return U, F
+
+
+def edge_layout():
+    """An even grid, very uneven levels, a constant column, knots of
+    subnormal spacing, and knots whose span last - first overflows to inf
+    though every segment's width is finite."""
+    return CharacteristicPoints(
+        points=[np.linspace(-1.0, 2.0, 51),
+                np.array([-1e6, -3.0, 0.0, 1e-9, 2e-9, 0.5, 7.0, 1e5]),
+                np.array([3.5]),
+                np.array([0.0, 1e-320, 3e-320, 4e-320]),
+                np.array([-5e-324, 0.0, 5e-324]),
+                np.array([-1e308, -5e307, 0.0, 5e307, 1e308])],
+        constant=[False, False, True, False, False, False])
+
+
+def edge_rows(rng, points, n):
+    """n rows whose columns cycle, in a random order, through every knot,
+    its float neighbours on both sides, and values far outside the knots,
+    up to +-1e308."""
+    cols = []
+    for p in points.points:
+        values = np.concatenate(
+            (p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
+             [-1e308, 1e308, -1e300, 1e300, -1e9, 1e9, 0.0]))
+        cols.append(rng.permutation(np.resize(values, n)))
+    return np.column_stack(cols) if cols else np.empty((n, 0))
+
+
 class TestLocate:
+    def check(self, X, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U, F = locate(X, points)
+        U_ref, F_ref = locate_reference(X, points)
+        assert U.dtype == U_ref.dtype and F.dtype == F_ref.dtype
+        assert U.shape == F.shape == (X.shape[0], len(points.varying))
+        np.testing.assert_array_equal(U, U_ref)
+        assert F.tobytes() == F_ref.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_edges_match_the_binary_search(self, n):
+        rng = np.random.default_rng(n)
+        points = edge_layout()
+        self.check(edge_rows(rng, points, n), points)
+
+    def test_non_finite_rows_match_the_binary_search(self):
+        # the program rejects them before it locates rows, but locate
+        # itself puts NaN and +inf in the last unit and -inf in the first
+        points = edge_layout()
+        rng = np.random.default_rng(0)
+        X = edge_rows(rng, points, BLOCK_ROWS + 1)
+        for value in (np.nan, np.inf, -np.inf):
+            X[rng.random(X.shape) < 0.1] = value
+        self.check(X, points)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_layouts_match_the_binary_search(self, seed):
+        rng = np.random.default_rng(seed)
+        points = random_layout(rng)
+        self.check(random_rows(rng, points, int(rng.integers(0, 300))),
+                   points)
+
+    def test_all_constant_layout(self):
+        points = CharacteristicPoints(points=[np.array([1.0])] * 2,
+                                      constant=[True, True])
+        self.check(np.ones((5, 2)), points)
+
+    def test_memory_is_the_outputs_and_a_few_blocks(self):
+        # beyond U and F, locate holds a fixed number of arrays of one
+        # block of BLOCK_ROWS rows, whatever the number of rows
+        points = edge_layout()
+        rng = np.random.default_rng(4)
+        X = edge_rows(rng, points, 16 * BLOCK_ROWS)
+        tracemalloc.start()
+        try:
+            U, F = locate(X, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = BLOCK_ROWS * len(points.varying) * 8
+        assert peak <= U.nbytes + F.nbytes + 8 * chunk
+
     def test_hand_checked_segments(self):
         points = CharacteristicPoints(
             points=[np.array([7.0]), np.array([0.0, 1.0, 2.0, 4.0])],

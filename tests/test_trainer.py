@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from pilid.encoding import build_points, encode_matrix
 from pilid.mlp_component import MlpParams, mlp_forward
 from pilid.pl_component import (
     PiecewiseLinearParams,
+    curve_forward,
     linear_forward,
     locate,
     segment_backward,
@@ -310,6 +312,23 @@ class TestPackedGradients:
                                          cfg)
         assert value == value_u
         np.testing.assert_array_equal(grad.flat, grad_u.flat)
+
+    def test_model_without_blocks_built_by_replace(self):
+        # the constructor stacks the empty block list, so the wide-only
+        # model trains and packs like any other
+        data = toy_data(n=40, m=3)
+        cfg = TrainConfig(seed=2, lam=0.01)
+        model = dataclasses.replace(init_model(data, 3, [5], cfg), blocks=[],
+                                    hard_gates=None)
+        assert len(model.blocks) == 0 and model.hard_gates.shape == (0, 3)
+        value, grad = loss_and_grads(model, data.rows, data.targets, cfg)
+        params = pack(model)
+        assert list(grad) == list(params)
+        assert params.flat.size == 2 * model.points.total + 3 + 1
+        assert loss_and_grads(model, data.rows, data.targets, cfg)[0] == value
+        score, _ = model_forward(model, data.rows)
+        np.testing.assert_array_equal(
+            score, curve_forward(data.rows, model.pl, model.points))
 
     def test_each_call_returns_a_fresh_vector(self):
         model, data = gated_model(relaxed=True)
