@@ -109,15 +109,18 @@ def locate(rows: np.ndarray, points: CharacteristicPoints):
     U = np.empty((n_rows, len(varying)), dtype=np.intp)
     F = np.empty(U.shape)
     first_unit = points.offsets[varying]
-    # unit u holds lower[u] <= x < upper[u]; the end units reach to -inf
-    # and +inf, and x is capped at the last knot (which takes NaN and
-    # +inf there too), so a row never steps out of its feature
+    # unit u holds lower[u] <= x < upper[u], with -inf and +inf at the
+    # feature's end units.  x is capped at the float below the last knot,
+    # which lies in the last unit too; the cap sends NaN and +inf there
+    # and stays below +inf when the last knot is infinite, so no row
+    # steps out of its feature
     lower = points.seg_start.copy()
     lower[points.offsets] = -np.inf
     upper = np.append(points.seg_start[1:], np.inf)
     upper[points.offsets + points.gammas - 1] = np.inf
     first = points.seg_start[first_unit]
     last = np.array([points.points[j][-1] for j in varying])
+    cap = np.nextafter(last, -np.inf)
     top = points.gammas[varying] - 1.0     # the last unit, from the first
     # 0 * inf, and spans or distances that overflow, give NaN or inf
     # guesses, which the clamp turns into a bound
@@ -125,7 +128,7 @@ def locate(rows: np.ndarray, points: CharacteristicPoints):
         per_unit = (top + 1.0) / (last - first)
         for lo in range(0, n_rows, BLOCK_ROWS):
             x = rows[lo:lo + BLOCK_ROWS, varying]
-            capped = np.fmin(x, last)
+            capped = np.fmin(x, cap)
             guess = np.subtract(capped, first)
             guess *= per_unit
             np.fmax(guess, 0.0, out=guess)

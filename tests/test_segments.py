@@ -77,7 +77,7 @@ def edge_rows(rng, points, n):
             (p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
              [-1e308, 1e308, -1e300, 1e300, -1e9, 1e9, 0.0]))
         cols.append(rng.permutation(np.resize(values, n)))
-    return np.column_stack(cols) if cols else np.empty((n, 0))
+    return np.column_stack(cols)
 
 
 class TestLocate:
@@ -97,10 +97,15 @@ class TestLocate:
         points = edge_layout()
         self.check(edge_rows(rng, points, n), points)
 
-    def test_non_finite_rows_match_the_binary_search(self):
-        # the program rejects them before it locates rows, but locate
-        # itself puts NaN and +inf in the last unit and -inf in the first
-        points = edge_layout()
+    @pytest.mark.parametrize("points", [
+        edge_layout(),
+        CharacteristicPoints(points=[np.array([-np.inf, 0.0, 1.0]),
+                                     np.array([0.0, 1.0, 2.0, np.inf])],
+                             constant=[False, False])])
+    def test_non_finite_rows_match_the_binary_search(self, points):
+        # the program rejects them, and infinite knots, before it locates
+        # rows, but locate itself puts NaN and +inf in the last unit and
+        # -inf in the first
         rng = np.random.default_rng(0)
         X = edge_rows(rng, points, BLOCK_ROWS + 1)
         for value in (np.nan, np.inf, -np.inf):
@@ -114,11 +119,6 @@ class TestLocate:
         points = random_layout(rng)
         self.check(random_rows(rng, points, int(rng.integers(0, 300))),
                    points)
-
-    def test_all_constant_layout(self):
-        points = CharacteristicPoints(points=[np.array([1.0])] * 2,
-                                      constant=[True, True])
-        self.check(np.ones((5, 2)), points)
 
     def test_memory_is_the_outputs_and_a_few_blocks(self):
         # beyond U and F, locate holds a fixed number of arrays of one
