@@ -5,12 +5,14 @@ model trains on, and occupies gamma_j entries of the encoded vector.  An
 encoded block reads ones up to the interval containing x_j, then one
 fractional entry, then zeros, so the encoding is monotone and continuous
 in every coordinate.  The program itself never builds that encoding: it
-works from each row's segment per feature (`pl_component.locate`).
-`encode_matrix` is the reference definition the tests check it against.
+works from each row's segment per feature (`pl_component.locate`), read
+from a table the knot layout keeps (`KnotBuckets`).  `encode_matrix` is
+the reference definition the tests check it against.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +26,11 @@ from pilid.dataset import Dataset, FeatureSpec
 # three benchmark models (one BLAS thread): larger blocks' temporaries were
 # faulted in afresh on every block, smaller ones lose BLAS efficiency.
 BLOCK_ROWS = 2048
+
+# A feature's lookup table (`KnotBuckets`) has two buckets per width of its
+# narrowest segment, so that a bucket holds at most one inner knot, but at
+# least 2 gamma_j buckets and at most the larger of 2 gamma_j and this.
+MAX_BUCKETS = 4096
 
 
 class EncodingError(ValueError):
@@ -47,6 +54,7 @@ class CharacteristicPoints:
     varying: np.ndarray = field(init=False)         # non-constant feature ids
     seg_start: np.ndarray = field(init=False)       # segment start per unit
     seg_width: np.ndarray = field(init=False)       # segment width per unit
+    buckets: KnotBuckets = field(init=False, repr=False)  # locate's table
 
     def __post_init__(self):
         gammas = []
@@ -73,6 +81,7 @@ class CharacteristicPoints:
                                          for p in self.points])
         self.seg_width = np.concatenate([np.diff(p) if len(p) > 1 else [1.0]
                                          for p in self.points])
+        self.buckets = KnotBuckets.of(self)
 
     @property
     def m(self) -> int:
@@ -81,6 +90,86 @@ class CharacteristicPoints:
     @property
     def total(self) -> int:
         return int(self.gammas.sum())
+
+
+@dataclass(frozen=True)
+class KnotBuckets:
+    """Each varying feature's knot span cut into buckets of equal width,
+    with the least unit of a row in each: the table `pl_component.locate`
+    reads a row's unit from, with no search.
+
+    A row's bucket is (x - first) * scale clamped to [0, top], rounded
+    down, plus the feature's start, for x capped at the float below the
+    last knot (`cap`).  The cap lies in the last unit; it sends NaN and
+    +inf there and stays below +inf when the last knot is infinite.  The
+    arithmetic is monotone in x, so the inner knots, put into buckets the
+    same way, lie below x in an earlier bucket and above it in a later
+    one: a row's unit is least[bucket] plus the number of its own bucket's
+    knots at or below x.  `steps` bisect that number for the fullest
+    bucket of any feature: (1,) when no bucket holds more than one knot,
+    and never more steps than a binary search over the widest feature's
+    knots.
+    """
+
+    cap: np.ndarray        # per varying feature: the float below its last knot
+    first: np.ndarray      # its first knot
+    scale: np.ndarray      # its buckets per unit of x
+    top: np.ndarray        # its last bucket, as a float
+    start: np.ndarray      # its first bucket's index into least
+    last_unit: np.ndarray  # its last unit
+    least: np.ndarray      # per bucket: the least unit of a row in it
+    steps: tuple[int, ...]
+
+    def index(self, capped: np.ndarray, feature=slice(None)) -> np.ndarray:
+        """Bucket of each capped x, taken along the last axis as the
+        varying features in order, or as the features `feature` lists."""
+        # 0 * inf, and spans or distances that overflow, give NaN or inf,
+        # which the clamp turns into a bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.subtract(capped, self.first[feature])
+            b *= self.scale[feature]
+        np.fmax(b, 0.0, out=b)
+        np.fmin(b, self.top[feature], out=b)
+        i = b.astype(np.intp)
+        i += self.start[feature]
+        return i
+
+    @classmethod
+    def of(cls, points: CharacteristicPoints) -> KnotBuckets:
+        """The table of the varying features of `points`."""
+        varying = points.varying
+        gammas = points.gammas[varying]
+        first_unit = points.offsets[varying]
+        first = points.seg_start[first_unit]
+        last = np.array([points.points[j][-1] for j in varying], dtype=float)
+        narrowest = np.array([points.seg_width[o:o + g].min()
+                              for o, g in zip(first_unit, gammas)],
+                             dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = last - first
+            wanted = np.ceil(2.0 * span / narrowest)
+        # NaN from inf / inf takes the upper bound
+        limit = np.maximum(2 * gammas, MAX_BUCKETS)
+        n_buckets = np.fmax(np.fmin(wanted, limit), 2 * gammas).astype(np.intp)
+        with np.errstate(over="ignore"):
+            scale = n_buckets / span
+        table = cls(cap=np.nextafter(last, -np.inf), first=first, scale=scale,
+                    top=n_buckets - 1.0, start=np.cumsum(n_buckets) - n_buckets,
+                    last_unit=first_unit + gammas - 1, least=np.empty(0),
+                    steps=())
+        inner = np.concatenate([np.empty(0)] +
+                               [points.points[j][1:-1] for j in varying])
+        feature = np.repeat(np.arange(len(varying)), gammas - 1)
+        count = np.bincount(table.index(inner, feature),
+                            minlength=n_buckets.sum())
+        # knots of the earlier buckets, less those of the earlier features
+        knots_before = np.cumsum(gammas - 1) - (gammas - 1)
+        least = np.cumsum(count) - count \
+            + np.repeat(first_unit - knots_before, n_buckets)
+        widest = int(np.max(count, initial=0))
+        return dataclasses.replace(
+            table, least=least,
+            steps=tuple(1 << k for k in reversed(range(widest.bit_length()))))
 
 
 def _knots(spec: FeatureSpec, column: np.ndarray, gamma: int) -> np.ndarray:

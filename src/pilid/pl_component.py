@@ -4,13 +4,12 @@ Per-unit affine transform of the encoded vector, summed within each
 feature's block and scaled by a per-feature factor omega.  The learned
 weights read out directly as per-feature shape curves.  Training and
 prediction work from each row's segment per feature through one forward
-and one backward (`segment_forward`, `segment_backward`).  `locate` finds
-the segments with no search: it guesses each row's unit from the
-feature's knot span and steps the guess onto the knots that hold the row,
-BLOCK_ROWS rows at a time, so its units equal a binary search's.  The
-least-squares start sums its normal equations in closed form from the
-same segments (`normal_equations`), so no part of the program builds the
-(N, gamma) encoding.  `linear_forward` on that encoding is kept as the
+and one backward (`segment_forward`, `segment_backward`).  `locate` reads
+the segments from a table of each feature's knots, with no search
+(`encoding.KnotBuckets`), BLOCK_ROWS rows at a time, so its units equal a
+binary search's.  The least-squares start sums its normal equations in
+closed form from the same segments (`normal_equations`), so no part of
+the program builds the (N, gamma) encoding.  `linear_forward` on that encoding is kept as the
 reference definition only.
 """
 
@@ -97,68 +96,41 @@ def locate(rows: np.ndarray, points: CharacteristicPoints):
     encode_matrix computes it: a row on inner knot k lands in unit k with
     F = 0, and rows past either end get F = 0 or 1 in the end unit.
 
-    U is the number of the feature's inner knots at or below x, found by
-    arithmetic rather than a search: BLOCK_ROWS rows at a time, over all
-    varying features at once, the guess (x - first knot) * gamma_j / span
-    is clamped to the feature's units and then stepped to the unit whose
-    knots hold x, until no row moves.  The guess is exact or one off for
-    evenly spaced knots, and irregular ones take at most gamma_j steps.
+    U is the number of the feature's inner knots at or below x, read from
+    the layout's table (`encoding.KnotBuckets`) rather than searched for:
+    BLOCK_ROWS rows at a time, over all varying features at once, a row's
+    equal-width bucket of its feature's knot span gives the least unit it
+    can lie in, and the table's steps, halving down to 1, raise that past
+    the knots of the bucket at or below x.  A block takes one step when no
+    bucket holds more than one knot, as for evenly spaced knots and for
+    integer codes whose span is at most 2048 times their smallest gap, and
+    never more steps than a binary search over the widest feature's knots.
     Scratch memory is a fixed number of arrays of one block's size.
     """
     n_rows, varying = rows.shape[0], points.varying
     U = np.empty((n_rows, len(varying)), dtype=np.intp)
     F = np.empty(U.shape)
-    first_unit = points.offsets[varying]
-    # unit u holds lower[u] <= x < upper[u], with -inf and +inf at the
-    # feature's end units.  x is capped at the float below the last knot,
-    # which lies in the last unit too; the cap sends NaN and +inf there
-    # and stays below +inf when the last knot is infinite, so no row
-    # steps out of its feature
-    lower = points.seg_start.copy()
-    lower[points.offsets] = -np.inf
-    upper = np.append(points.seg_start[1:], np.inf)
-    upper[points.offsets + points.gammas - 1] = np.inf
-    first = points.seg_start[first_unit]
-    last = np.array([points.points[j][-1] for j in varying])
-    cap = np.nextafter(last, -np.inf)
-    top = points.gammas[varying] - 1.0     # the last unit, from the first
-    # 0 * inf, and spans or distances that overflow, give NaN or inf
-    # guesses, which the clamp turns into a bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_unit = (top + 1.0) / (last - first)
-        for lo in range(0, n_rows, BLOCK_ROWS):
-            x = rows[lo:lo + BLOCK_ROWS, varying]
-            capped = np.fmin(x, cap)
-            guess = np.subtract(capped, first)
-            guess *= per_unit
-            np.fmax(guess, 0.0, out=guess)
-            np.fmin(guess, top, out=guess)
-            u = U[lo:lo + BLOCK_ROWS]
-            u[...] = guess
-            u += first_unit
-            _settle(u.reshape(-1), capped.reshape(-1), lower, upper)
-            f = F[lo:lo + BLOCK_ROWS]
+    table = points.buckets
+    for lo in range(0, n_rows, BLOCK_ROWS):
+        x = rows[lo:lo + BLOCK_ROWS, varying]
+        capped = np.fmin(x, table.cap)
+        u = U[lo:lo + BLOCK_ROWS]
+        # every bucket index is in range; "clip" spares take's buffered copy
+        np.take(table.least, table.index(capped), out=u, mode="clip")
+        for step in table.steps:
+            # u rises by step, or to the feature's last unit, where that
+            # unit starts at or below x
+            up = np.minimum(u + step, table.last_unit)
+            rises = capped >= points.seg_start[up]
+            up -= u
+            up *= rises
+            u += up
+        f = F[lo:lo + BLOCK_ROWS]
+        with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(x, points.seg_start[u], out=f)
             f /= points.seg_width[u]
-            np.clip(f, 0.0, 1.0, out=f)
+        np.clip(f, 0.0, 1.0, out=f)
     return U, F
-
-
-def _settle(u: np.ndarray, x: np.ndarray, lower: np.ndarray,
-            upper: np.ndarray):
-    """Step each unit index of the flat u, in place, one unit per pass
-    towards the unit with lower[u] <= x < upper[u]; a pass reads only the
-    entries that moved in the one before."""
-    at, ui, xi = None, u, x
-    while True:
-        up, down = xi >= upper[ui], xi < lower[ui]
-        moved = np.flatnonzero(up | down)
-        if not moved.size:
-            return
-        at = moved if at is None else at[moved]
-        ui = ui[moved] + up[moved] - down[moved]
-        xi = xi[moved]
-        u[at] = ui
 
 
 def segment_forward(U: np.ndarray, F: np.ndarray, params: PiecewiseLinearParams,

@@ -103,14 +103,32 @@ class TestLocate:
                                      np.array([0.0, 1.0, 2.0, np.inf])],
                              constant=[False, False])])
     def test_non_finite_rows_match_the_binary_search(self, points):
-        # the program rejects them, and infinite knots, before it locates
-        # rows, but locate itself puts NaN and +inf in the last unit and
-        # -inf in the first
+        # model_forward rejects non-finite rows before it locates them,
+        # but curve_forward and init_least_squares hand them to locate as
+        # they come, and the cap keeps the binary search's units: NaN and
+        # +inf in the last unit, -inf in the first
         rng = np.random.default_rng(0)
         X = edge_rows(rng, points, BLOCK_ROWS + 1)
         for value in (np.nan, np.inf, -np.inf):
             X[rng.random(X.shape) < 0.1] = value
         self.check(X, points)
+
+    @pytest.mark.parametrize("levels", [
+        # integer codes as CSV inference reads them (at most 20 levels)
+        np.array([*range(19), 1e4]),
+        np.array([*range(19), 1e9]),
+        # many uneven levels, as a categorical built by hand can have
+        np.unique(np.round(np.random.default_rng(5).lognormal(0, 3, 3000),
+                           3))])
+    def test_uneven_levels_match_the_binary_search(self, levels):
+        points = CharacteristicPoints(
+            points=[levels, np.linspace(0.0, 1.0, 11)], constant=[False] * 2)
+        rng = np.random.default_rng(len(levels))
+        between = np.column_stack((
+            rng.uniform(levels[0], levels[-1], BLOCK_ROWS),
+            rng.uniform(0.0, 1.0, BLOCK_ROWS)))
+        self.check(np.vstack((edge_rows(rng, points, 3 * len(levels) + 7),
+                              between)), points)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)
@@ -177,6 +195,45 @@ class TestLocate:
         assert U_idx.dtype == U.dtype and F_idx.dtype == F.dtype
         np.testing.assert_array_equal(U[idx], U_idx)
         assert F[idx].tobytes() == F_idx.tobytes()
+
+
+class TestKnotBuckets:
+    """The table locate reads units from: how many bisection steps each
+    block of rows takes."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_even_knots_take_one_step(self, seed):
+        rng = np.random.default_rng(seed)
+        width = 10.0 ** rng.uniform(-6, 12)
+        grids = [np.linspace(lo, lo + width, int(g) + 1) for lo, g in
+                 zip(rng.normal(0, 100 * width, 3), rng.integers(1, 300, 3))]
+        points = CharacteristicPoints(points=grids, constant=[False] * 3)
+        assert points.buckets.steps in ((), (1,))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_codes_take_one_step(self, seed):
+        # codes spanning up to 2048 times the closest two fit the table
+        rng = np.random.default_rng(seed)
+        levels = np.unique(rng.integers(-1024, 1025, int(rng.integers(2, 300))))
+        points = CharacteristicPoints(points=[levels.astype(float)],
+                                      constant=[len(levels) == 1])
+        assert points.buckets.steps in ((), (1,))
+
+    @pytest.mark.parametrize("points", [
+        edge_layout(),
+        CharacteristicPoints(points=[np.array([*range(19), 1e9])],
+                             constant=[False]),
+        CharacteristicPoints(points=[np.array([-np.inf, 0.0, 1.0, 2.0]),
+                                     np.array([0.0, 1.0, 2.0, np.inf])],
+                             constant=[False, False])])
+    def test_no_more_steps_than_a_binary_search(self, points):
+        # where the table cannot part the knots, the steps bisect them all
+        widest = max(points.gammas[points.varying])
+        steps = points.buckets.steps
+        assert len(steps) <= int(widest - 1).bit_length()
+        assert list(steps) == [1 << k for k in reversed(range(len(steps)))]
 
 
 class TestSegmentForwardBackward:
