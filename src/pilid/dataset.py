@@ -58,6 +58,13 @@ class Dataset:
             raise DatasetError("one FeatureSpec required per column")
         if self.task not in TASKS:
             raise DatasetError(f"unknown task {self.task!r}")
+        if (bad := _first_non_finite(rows)) is not None:
+            r, c = bad
+            raise DatasetError(f"non-finite value {str(rows[r, c])!r} at row "
+                               f"{r}, feature {self.specs[c].name!r}")
+        if (bad := _first_non_finite(targets)) is not None:
+            raise DatasetError(f"non-finite target {str(targets[bad])!r} at "
+                               f"row {bad[0]}")
         check_targets(targets, self.task)
         rows.flags.writeable = False
         targets.flags.writeable = False
@@ -109,14 +116,22 @@ def check_header(names: list[str], path) -> None:
         seen.add(name)
 
 
+def _first_non_finite(a: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first NaN or infinite entry of an array, in row
+    order, or None when every entry is finite."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.argwhere(~finite)[0])
+
+
 def reject_non_finite(mat: np.ndarray, path, columns: list[str],
                       lines) -> None:
     """Raise DatasetError naming the first NaN or infinite cell of a parsed
     CSV matrix whose columns are `columns` and whose row r starts on line
     `lines[r]` of the file."""
-    bad = ~np.isfinite(mat)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
+    if (bad := _first_non_finite(mat)) is not None:
+        r, c = bad
         raise DatasetError(f"{path}: non-finite value {str(mat[r, c])!r} at "
                            f"line {lines[r]}, column {columns[c]!r}")
 

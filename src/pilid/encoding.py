@@ -22,9 +22,13 @@ from pilid.dataset import Dataset, FeatureSpec
 
 # Rows per block for prediction, for locating rows (`pl_component.locate`)
 # and for the least-squares start; bounds their scratch memory
-# independently of N.  Of 1024-8192 rows, 2048 predicted fastest on all
-# three benchmark models (one BLAS thread): larger blocks' temporaries were
-# faulted in afresh on every block, smaller ones lose BLAS efficiency.
+# independently of N.  Which size predicts fastest depends on the host.
+# The deep-reference network (100-200-400-400-200-100) predicting 50k
+# rows, one BLAS thread, 2-core x86-64 VM, alternating fresh processes:
+# one series of 11 pairs took a median 0.790 s at 2048 rows and 0.845 s
+# at 1024, another of 7 pairs 0.883 s and 0.738 s.  A 2048-row block's
+# 400-wide activations are 6.5 MB, above the 4 MiB from which numpy asks
+# for transparent huge pages; 1024-row blocks stay below it.
 BLOCK_ROWS = 2048
 
 # A feature's lookup table (`KnotBuckets`) has two buckets per width of its

@@ -45,6 +45,10 @@ class PersistError(ValueError):
     pass
 
 
+_BLOCKS_DIFFER = "malformed model file: the blocks differ in widths or " \
+    "activation"
+
+
 def _line(key: str, a) -> str:
     """`key` and the values of `a` as hexadecimal floats."""
     values = np.asarray(a, dtype=np.float64).ravel().tolist()
@@ -138,7 +142,8 @@ def _hex(key: str, tokens: list[str]) -> np.ndarray:
 
 def _base64(key: str, token: str, count: int) -> np.ndarray:
     """The `count` finite floats whose little-endian float64 bytes `token`,
-    a value of `key`, holds in base64; an owning, writable array."""
+    a value of `key`, holds in base64; a read-only view of the decoded
+    bytes."""
     try:
         raw = base64.b64decode(token, validate=True)
     except binascii.Error:
@@ -147,7 +152,7 @@ def _base64(key: str, token: str, count: int) -> np.ndarray:
         raise PersistError(f"malformed model file: {key!r} holds {len(raw)} "
                            f"bytes, not the {8 * count} of {count} float64 "
                            f"value(s)")
-    return _finite(key, np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    return _finite(key, np.frombuffer(raw, dtype="<f8"))
 
 
 class _Reader:
@@ -180,41 +185,58 @@ class _Reader:
         """A line of exactly `count` hexadecimal floats."""
         return _hex(key, self.next(key, count))
 
-    def array(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A line that holds an array of `shape`."""
-        return self._array(key, self.next(key, 0, exact=False), shape)
+    def array(self, key: str, shape: tuple[int, ...],
+              out: np.ndarray | None = None) -> np.ndarray:
+        """A line that holds an array of `shape`, decoded into `out` when
+        it is given."""
+        return self._array(key, self.next(key, 0, exact=False), shape, out)
 
     def optional(self, key: str, shape: tuple[int, ...]) -> np.ndarray | None:
         """A line that holds `none` or an array of `shape`."""
         tok = self.next(key, 0, exact=False)
         return None if tok == ["none"] else self._array(key, tok, shape)
 
-    def matrix(self, key: str) -> np.ndarray:
-        """A line that holds a matrix of the shape it states; formats 1
-        and 2 state the shape of a matrix too."""
+    def matrix(self, key: str, columns: int | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """A line that holds a matrix of the shape it states, decoded into
+        `out` when it is given; formats 1 and 2 state the shape of a matrix
+        too.  Another number of columns than `columns`, when given, or
+        another shape than `out`'s makes the file malformed."""
         tok = self.next(key, 2, exact=False)
         shape = int(tok[0]), int(tok[1])
         if min(shape) < 0:
             raise PersistError(f"malformed model file: {key!r} has shape "
                                f"{shape[0]} x {shape[1]}")
-        return self._array(key, tok[2:] if self.hex_arrays else tok, shape)
+        if columns is not None and shape[1] != columns:
+            raise PersistError(f"malformed model file: {key!r} has "
+                               f"{shape[1]} columns for {columns} features")
+        if out is not None and out.shape != shape:
+            raise PersistError(_BLOCKS_DIFFER)
+        return self._array(key, tok[2:] if self.hex_arrays else tok, shape,
+                           out)
 
-    def _array(self, key: str, tok: list[str],
-               shape: tuple[int, ...]) -> np.ndarray:
-        """The array of `shape` that `tok`, the values of `key`, encode:
-        its values as hexadecimal floats before format 3; from format 3
-        its shape and one base64 token, or no token when it is empty."""
+    def _array(self, key: str, tok: list[str], shape: tuple[int, ...],
+               out: np.ndarray | None = None) -> np.ndarray:
+        """The array of `shape` that `tok`, the values of `key`, encode,
+        in `out` or, without it, in a new array: its values as hexadecimal
+        floats before format 3; from format 3 its shape and one base64
+        token, or no token when it is empty."""
         count = math.prod(shape)
         if self.hex_arrays:
-            return _hex(key, _counted(key, tok, count)).reshape(shape)
-        dims = [str(n) for n in shape]
-        if tok[:len(dims)] != dims or len(tok) != len(dims) + (count > 0):
-            data = "one base64 token" if count > 0 else "no values"
-            raise PersistError(f"malformed model file: expected {key!r} with "
-                               f"shape {' '.join(dims)} and {data}, got "
-                               f"{' '.join(tok)[:40]!r}")
-        return _base64(key, tok[-1] if count > 0 else "", count
-                       ).reshape(shape)
+            values = _hex(key, _counted(key, tok, count))
+        else:
+            dims = [str(n) for n in shape]
+            if tok[:len(dims)] != dims or \
+                    len(tok) != len(dims) + (count > 0):
+                data = "one base64 token" if count > 0 else "no values"
+                raise PersistError(f"malformed model file: expected {key!r} "
+                                   f"with shape {' '.join(dims)} and {data}, "
+                                   f"got {' '.join(tok)[:40]!r}")
+            values = _base64(key, tok[-1] if count > 0 else "", count)
+        if out is None:
+            out = np.empty(shape)
+        out[...] = values.reshape(shape)
+        return out
 
 
 def _read_mlp(r: _Reader, prefix: str, m: int) -> MlpParams:
@@ -223,17 +245,52 @@ def _read_mlp(r: _Reader, prefix: str, m: int) -> MlpParams:
     weights, biases = [], []
     rows = 0
     for l in range(int(n_layers)):
-        weights.append(r.matrix(f"{prefix}.W{l}"))
+        weights.append(r.matrix(f"{prefix}.W{l}", m if l == 0 else None))
         rows = weights[-1].shape[0]
         biases.append(r.array(f"{prefix}.b{l}", (rows,)))
-    mlp = MlpParams(weights=weights, biases=biases,
-                    head_w=r.array(f"{prefix}.head_w", (rows,)),
-                    head_b=r.hex(f"{prefix}.head_b", 1)[0],
-                    activation=activation)
-    if mlp.input_dim != m:
-        raise PersistError(f"malformed model file: '{prefix}.W0' has "
-                           f"{mlp.input_dim} columns for {m} features")
-    return mlp
+    return MlpParams(weights=weights, biases=biases,
+                     head_w=r.array(f"{prefix}.head_w", (rows,)),
+                     head_b=r.hex(f"{prefix}.head_b", 1)[0],
+                     activation=activation)
+
+
+def _read_blocks(r: _Reader, prefixes: list[str],
+                 m: int) -> MlpParams | list:
+    """The networks under `prefixes` side by side, as the model holds its
+    blocks, so that its constructor copies none of them again (with no
+    prefix, the empty list it stacks).  Block 0 sets the widths and
+    activation.  One block is a view of its own arrays with a block axis
+    of length 1; with more, each later block is decoded straight into its
+    row of one (B, ...) array per layer.  A block of other widths or
+    activation makes the file malformed."""
+    if not prefixes:
+        return []
+    first = _read_mlp(r, prefixes[0], m)
+    if len(prefixes) == 1:
+        return first[None]      # views with a new leading axis
+    B = len(prefixes)
+
+    def rows(a: np.ndarray) -> np.ndarray:     # row 0 is block 0's
+        out = np.empty((B, *a.shape))
+        out[0] = a
+        return out
+
+    net = MlpParams(weights=[rows(W) for W in first.weights],
+                    biases=[rows(b) for b in first.biases],
+                    head_w=rows(first.head_w), head_b=rows(first.head_b),
+                    activation=first.activation)
+    del first       # its arrays are copied; free them before the others
+    for i, prefix in enumerate(prefixes[1:], start=1):
+        row = net[i]
+        activation, n_layers = r.next(f"{prefix}.meta", 2)
+        if (activation, int(n_layers)) != (net.activation, len(net.weights)):
+            raise PersistError(_BLOCKS_DIFFER)
+        for l, (W, b) in enumerate(zip(row.weights, row.biases)):
+            r.matrix(f"{prefix}.W{l}", m if l == 0 else None, W)
+            r.array(f"{prefix}.b{l}", b.shape, b)
+        r.array(f"{prefix}.head_w", row.head_w.shape, row.head_w)
+        row.head_b[...] = r.hex(f"{prefix}.head_b", 1)[0]
+    return net
 
 
 def load(path) -> PilidModel:
@@ -301,12 +358,12 @@ def _read_model(r: _Reader, v1: bool) -> PilidModel:
             omega=r.array("pl.omega", (m,)), w0=r.hex("pl.w0", 1)[0])
 
     if variant == "pilid":
-        blocks = [] if r.next("mlp")[0] == "none" \
-            else [_read_mlp(r, "mlp", m)]
+        blocks = _read_blocks(r, [] if r.next("mlp")[0] == "none"
+                              else ["mlp"], m)
         return PilidModel(pl=pl, blocks=blocks, points=points, task=task,
                           feature_names=names)
     B = r.count("blocks", 0)
-    blocks = [_read_mlp(r, f"blk{i}", m) for i in range(B)]
+    blocks = _read_blocks(r, [f"blk{i}" for i in range(B)], m)
     gates = None
     gm = r.next("gates.meta", 1, exact=False)
     if gm != ["none"]:

@@ -22,17 +22,20 @@ Every array is optimized jointly with mini-batch Adam, without the
 (N, gamma) encoding, through one loss/gradient function and one epoch
 loop.  The knots stay fixed for a run, so a run locates its training rows'
 segments once (`init_training`): the least-squares start and every batch
-read them.  Training first packs the trainable arrays into one float64
-vector whose views the model's fields become (`pack`).  Each backward
-pass writes into the views of one gradient vector of the same layout,
-and Adam updates the parameter vector in place.  The weights lead the
-layout, so the regulariser (on the wide weights while the gates are
-relaxed, otherwise on every weight, never on biases, omega, w0 or gate
-logits) acts on one leading slice.  Each layer of the blocks' network,
-every block's W0, then every block's W1 and so on to every head, and
-the biases likewise, is one (B, ...) view of the vector.  The
-regulariser and Adam pass over their vectors in chunks of CHUNK values
-with chunk-sized scratch, so each pass works within the cache.  The wide
+read them.  `_slots` lists the trainable arrays, and one layout follows
+from it (`_layout`): one float64 vector holding every array in that order,
+the weights first, and each layer of the blocks' network, every block's
+W0, then every block's W1 and so on to every head, and the biases
+likewise, is one (B, ...) view of it.  The loss reads the model's own
+arrays, whatever they are views of, and its backward passes write into
+the views of one fresh gradient vector of that layout.  The regulariser
+(on the wide weights while the gates are relaxed, otherwise on every
+weight, never on biases, omega, w0 or gate logits) adds to each weight's
+view in turn.  Training copies the arrays into a parameter vector of the
+same layout and rebinds the model's fields to its views (`pack`), so that
+Adam, updating that vector in place, updates the model.  The regulariser
+and Adam pass over their arrays in chunks of CHUNK values with
+chunk-sized scratch, so each pass works within the cache.  The wide
 component starts from a least-squares fit so the optimizer begins in an
 interpretable region; the blocks start from small Gaussian weights.
 Prediction computes the same score from the shape curves (curve_forward)
@@ -150,9 +153,6 @@ class PilidModel:
     gates: PilibGates | None = None
     hard_gates: np.ndarray | None = None    # (B, m) 0/1 rows
     train_means: np.ndarray | None = None   # reference values for surfaces
-    # the vector whose views the trainable fields are, once `pack` ran
-    packed: ParamVector | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
         if not isinstance(self.blocks, MlpParams):
@@ -330,13 +330,11 @@ def _data_loss_and_grad(score: np.ndarray, y: np.ndarray, task: str):
 class ParamVector(Mapping):
     """Named arrays held as views into one float64 vector, `flat`, in the
     order of `param_arrays`.  `spans` maps each name to its (start, stop,
-    shape); the first `n_reg` values are the regularised weights.  The
-    blocks' arrays are one view per layer with a leading block axis."""
+    shape).  The blocks' arrays are one view per layer with a leading
+    block axis."""
 
-    def __init__(self, flat: np.ndarray, spans: dict, n_reg: int,
-                 relaxed: bool):
-        self.flat, self.spans, self.n_reg = flat, spans, n_reg
-        self.relaxed = relaxed      # the gate state the layout was made for
+    def __init__(self, flat: np.ndarray, spans: dict):
+        self.flat, self.spans = flat, spans
 
     def __getitem__(self, name: str) -> np.ndarray:
         start, stop, shape = self.spans[name]
@@ -348,13 +346,9 @@ class ParamVector(Mapping):
     def __len__(self) -> int:
         return len(self.spans)
 
-    def like(self, flat: np.ndarray) -> ParamVector:
-        """Another vector of this layout, such as a gradient."""
-        return ParamVector(flat, self.spans, self.n_reg, self.relaxed)
-
 
 def _slots(model: PilidModel):
-    """Where each trainable array lives, as (name, owner, key) in packed
+    """Where each trainable array lives, as (name, owner, key) in layout
     order, and how many leading slots are regularised.  Weights come
     first (the wide weights, then the blocks' layer and head weights),
     then the biases, omega and w0, then the blocks' biases, then the gate
@@ -385,47 +379,36 @@ def _get(owner, key):
 
 def param_arrays(model: PilidModel) -> dict[str, np.ndarray]:
     """Live references to every trainable array, keyed by stable names, in
-    packed order; the gate logits are trainable only while they are
+    layout order; the gate logits are trainable only while they are
     relaxed."""
     return {name: _get(owner, key) for name, owner, key in _slots(model)[0]}
 
 
-def _gather(model: PilidModel) -> ParamVector:
-    """A copy of every trainable array in one vector; the model keeps its
-    own arrays."""
-    slots, n_weights = _slots(model)
-    arrays = [_get(owner, key) for _, owner, key in slots]
-    starts = np.cumsum([0] + [a.size for a in arrays]).tolist()
-    spans = {name: (start, start + a.size, a.shape)
-             for (name, _, _), start, a in zip(slots, starts, arrays)}
-    return ParamVector(np.concatenate(arrays, axis=None), spans,
-                       starts[n_weights], model.gates_relaxed)
+def _layout(slots) -> ParamVector:
+    """A fresh float64 vector, its values unset, laid out for the arrays
+    of `slots` (see `_slots`) in their order and shapes."""
+    spans, stop = {}, 0
+    for name, owner, key in slots:
+        a = _get(owner, key)
+        start, stop = stop, stop + a.size
+        spans[name] = (start, stop, a.shape)
+    return ParamVector(np.empty(stop), spans)
 
 
 def pack(model: PilidModel) -> ParamVector:
-    """Copy every trainable array into one float64 vector and rebind the
-    model's fields to views of it, so that updating the vector in place
-    updates the model.  Pack again when the gate state changes: PiLiB's
-    phase 2 drops the gate logits."""
-    params = _gather(model)
-    for name, owner, key in _slots(model)[0]:
+    """Copy every trainable array into one float64 vector of the model's
+    layout and rebind the model's fields to views of it, so that updating
+    the vector in place updates the model.  Pack again when the gate state
+    changes: PiLiB's phase 2 drops the gate logits."""
+    slots = _slots(model)[0]
+    params = _layout(slots)
+    for name, owner, key in slots:
+        view = params[name]
+        view[...] = _get(owner, key)
         if isinstance(key, int):
-            owner[key] = params[name]
+            owner[key] = view
         else:
-            setattr(owner, key, params[name])
-    model.packed = params
-    return params
-
-
-def _packed_for(model: PilidModel, relaxed: bool) -> ParamVector | None:
-    """The vector `pack` made for the model, while its arrays are still
-    views of it for this gate state; a deep copy of the model, a change
-    of its blocks or of its gate state since then unbinds them."""
-    params = model.packed
-    if params is None or params.relaxed != relaxed or \
-            model.blocks.weights[0].base is not params.flat or \
-            (model.pl is not None and model.pl.w.base is not params.flat):
-        return None
+            setattr(owner, key, view)
     return params
 
 
@@ -477,22 +460,20 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     While the gates are relaxed: data term + lambda*Omega(wide weights) +
     order penalty on the relaxed gate sums, with gradients flowing into
     the gate logits.  Otherwise: data term + lambda*Omega(all weights)
-    under the hard gates.  The gradients come as one fresh ParamVector in
-    the layout of `param_arrays`, whose views the backward passes write
-    into; the regulariser acts on its leading slice.  A model that was
-    never packed is read through a copy, not rebound.  The blocks run
-    side by side: one mlp_forward and one mlp_backward for all of them,
-    none when there is no block.  The wide component reads `segments`,
-    the rows' (U, F) of `locate`, when the caller holds them, and
-    otherwise locates the rows itself.
+    under the hard gates.  The loss reads the model's own arrays, packed
+    or not, and never rebinds them.  The gradients come as one fresh
+    ParamVector in the layout of `param_arrays`, whose views the backward
+    passes write into; the regulariser adds to each weight's view in
+    turn.  The blocks run side by side: one mlp_forward and one
+    mlp_backward for all of them, none when there is no block.  The wide
+    component reads `segments`, the rows' (U, F) of `locate`, when the
+    caller holds them, and otherwise locates the rows itself.
     """
     X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
     relaxed = model.gates_relaxed
     G = gate_values(model.gates, "train") if relaxed else model.hard_gates
-    params = _packed_for(model, relaxed)
-    if params is None:
-        params = _gather(model)
+    slots, n_weights = _slots(model)
     if model.pl is None:
         score = np.zeros(X.shape[0])
     else:
@@ -507,7 +488,7 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     data, dscore = _data_loss_and_grad(score, y, model.task)
 
     # fresh per call: callers may hold a result across calls
-    grad = params.like(np.empty_like(params.flat))
+    grad = _layout(slots)
     if model.pl is not None:
         segment_backward(U, F, T, dscore, model.pl, model.points,
                          out={k: grad[f"pl.{k}"]
@@ -535,9 +516,12 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
         np.multiply(dG, _gate_grad_factor(model.gates),
                     out=grad["gates.log_alpha"])
     if config.lam != 0 and config.reg != "none":
-        total += config.lam * _regularise(params.flat[:params.n_reg],
-                                          grad.flat[:params.n_reg],
-                                          config.lam, config.reg)
+        omega = 0.0
+        for name, owner, key in slots[:n_weights]:
+            start, stop, _ = grad.spans[name]
+            omega += _regularise(np.ravel(_get(owner, key)),
+                                 grad.flat[start:stop], config.lam, config.reg)
+        total += config.lam * omega
     return total, grad
 
 
@@ -592,8 +576,7 @@ def init_training(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     located once for the run: the least-squares start and every batch
     read them, as the knots stay fixed."""
     points = build_points(data, gammas)
-    segments = None if mlp_only else \
-        locate(_finite_rows(check_rows(data.rows, points)), points)
+    segments = None if mlp_only else locate(data.rows, points)
     hidden = parse_widths(mlp_widths)
     streams = [[config.seed, 1]] if B is None else \
         [[config.seed, 100 + i] for i in range(B)]

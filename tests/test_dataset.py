@@ -90,6 +90,58 @@ class TestLoadCsv:
         np.testing.assert_allclose(data.rows[:, 0], [0.9, 0.1, 0.5])
 
 
+class TestFiniteValues:
+    @pytest.mark.parametrize("value,shown", [(np.nan, "nan"),
+                                             (np.inf, "inf"),
+                                             (-np.inf, "-inf")])
+    def test_non_finite_cell_names_row_and_feature(self, value, shown):
+        data = make_dataset(n=8, m=3)
+        rows = data.rows.copy()
+        rows[5, 0] = np.nan         # after the first in row order
+        rows[3, 1] = value
+        with pytest.raises(DatasetError) as info:
+            Dataset(rows=rows, targets=data.targets, specs=data.specs)
+        assert str(info.value) == \
+            f"non-finite value '{shown}' at row 3, feature 'x1'"
+
+    @pytest.mark.parametrize("value,shown", [(np.nan, "nan"),
+                                             (np.inf, "inf"),
+                                             (-np.inf, "-inf")])
+    def test_non_finite_target_names_row(self, value, shown):
+        data = make_dataset(n=8, m=3)
+        targets = data.targets.copy()
+        targets[[2, 6]] = value, np.nan
+        with pytest.raises(DatasetError) as info:
+            Dataset(rows=data.rows, targets=targets, specs=data.specs)
+        assert str(info.value) == f"non-finite target '{shown}' at row 2"
+
+    def test_rows_are_checked_before_the_targets(self):
+        data = make_dataset(n=4, m=2)
+        rows, targets = data.rows.copy(), data.targets.copy()
+        rows[1, 1], targets[0] = np.inf, np.nan
+        with pytest.raises(DatasetError, match="^non-finite value 'inf' at "
+                                               "row 1, feature 'x1'$"):
+            Dataset(rows=rows, targets=targets, specs=data.specs)
+
+    def test_split_keeps_extreme_finite_values(self):
+        # the check rejects only NaN and infinities: the largest, smallest
+        # and subnormal reals pass into both halves of a split unchanged
+        data = make_dataset(n=10, m=2)
+        rows, targets = data.rows.copy(), data.targets.copy()
+        rows[:3, 0] = np.finfo(float).max, -np.finfo(float).max, 5e-324
+        targets[4] = -np.finfo(float).max
+        data = Dataset(rows=rows, targets=targets, specs=data.specs)
+        train, test = split(data, 0.5, seed=3)
+        perm = np.random.default_rng(3).permutation(data.n)
+        np.testing.assert_array_equal(
+            np.concatenate([train.rows, test.rows]), rows[perm])
+        np.testing.assert_array_equal(
+            np.concatenate([train.targets, test.targets]), targets[perm])
+        # a dataset's arrays are read-only, so no NaN can enter them later
+        with pytest.raises(ValueError):
+            data.rows[0, 0] = np.nan
+
+
 class TestSplit:
     def test_sizes_and_determinism(self):
         data = make_dataset(n=10)

@@ -23,6 +23,7 @@ from pilid.persist import (
 )
 from pilid.pilib import active_feature_sets, train_pilib
 from pilid.pl_component import curve_forward
+from pilid import trainer
 from pilid.trainer import TrainConfig, model_forward, train
 
 DATA = Path(__file__).parent / "data"
@@ -309,6 +310,27 @@ class TestOneModelLayouts:
                                                      trained_model, tmp_path):
         assert_round_trip(model_of_kind(kind, trained_model),
                           tmp_path / "model.plm")
+
+    @pytest.mark.parametrize("source", ["pilid", "two_blocks_no_logits",
+                                        "no_blocks", "v1_pilid", "v2_pilib",
+                                        "v3_pilib"])
+    def test_load_stacks_no_block_again(self, source, trained_model,
+                                        tmp_path, monkeypatch):
+        # the reader hands the model its blocks already side by side, so
+        # the model's constructor copies none of them
+        path = DATA / f"{source}.plm"
+        if not path.exists():
+            path = tmp_path / "model.plm"
+            save(model_of_kind(source, trained_model), path)
+        expected = len(load(path).blocks)
+        real_stacked = trainer._stacked
+
+        def stacked(nets, m):
+            assert not nets, "a loaded block was stacked again"
+            return real_stacked(nets, m)
+
+        monkeypatch.setattr(trainer, "_stacked", stacked)
+        assert len(load(path).blocks) == expected
 
     @pytest.mark.parametrize("differ", ["widths", "activation"])
     def test_blocks_that_differ_in_shape_are_malformed(

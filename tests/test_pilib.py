@@ -223,13 +223,14 @@ class TestTraining:
     def test_phase_two_never_moves_gate_logits(self, monkeypatch):
         # phase 2 packs a new vector without the logits: they keep the
         # values phase 1 ended with, outside the vector Adam updates
-        at_phase2 = []
+        at_phase2, vectors = [], []
         real_pack = pilib.pack
 
         def pack(model):
             if model.hard_gates is not None:
                 at_phase2.append(model.gates.log_alpha.copy())
-            return real_pack(model)
+            vectors.append(real_pack(model))
+            return vectors[-1]
 
         monkeypatch.setattr(pilib, "pack", pack)
         data = interaction_data(n=400, m=5, seed=3)
@@ -237,9 +238,8 @@ class TestTraining:
                                TrainConfig(epochs=3, batch_size=64, seed=2))
         assert len(at_phase2) == 1
         np.testing.assert_array_equal(model.gates.log_alpha, at_phase2[0])
-        assert "gates.log_alpha" not in model.packed
-        assert not np.shares_memory(model.gates.log_alpha,
-                                    model.packed.flat)
+        assert "gates.log_alpha" not in vectors[-1]
+        assert not np.shares_memory(model.gates.log_alpha, vectors[-1].flat)
 
     def test_larger_lambda0_pushes_gate_logits_down(self):
         # K = m makes the cap vacuous, so phase 1 lasts exactly one epoch

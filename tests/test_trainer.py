@@ -127,7 +127,7 @@ class TestAdam:
         assert w0.shape == () and np.shares_memory(w0, params.flat)
         cfg = TrainConfig(learning_rate=0.005)
         opt = Adam(params.flat, cfg)
-        grad = params.like(np.zeros_like(params.flat))
+        grad = ParamVector(np.zeros_like(params.flat), params.spans)
         grad["pl.w0"][...] = 1.0
         prev = 0.0
         for _ in range(1000):
@@ -157,8 +157,7 @@ class TestAdam:
         packed = ParamVector(
             np.concatenate([a.ravel() for a in arrays.values()]),
             {k: (s, s + a.size, a.shape)
-             for (k, a), s in zip(arrays.items(), starts)},
-            n_reg=0, relaxed=False)
+             for (k, a), s in zip(arrays.items(), starts)})
         steps = [{k: rng.normal(0, 10.0 ** rng.integers(-6, 3), a.shape)
                   for k, a in arrays.items()} for _ in range(n_steps)]
         lr = float(rng.choice([0.005, 0.1, 1e-4]))
@@ -280,7 +279,70 @@ def gated_model(relaxed):
     return model, data
 
 
+LAYOUT_KINDS = ["pilid", "relaxed_pilib", "hard_pilib", "no_blocks",
+                "mlp_only"]
+
+
+def model_of_kind(kind):
+    """A model of each trainable layout, never packed, and its data."""
+    if kind.endswith("_pilib"):
+        return gated_model(kind == "relaxed_pilib")
+    data = toy_data(n=40, m=3)
+    cfg = TrainConfig(seed=2, sigma=0.3)
+    model = init_model(data, 3, [5, 4], cfg, mlp_only=kind == "mlp_only")
+    if kind == "no_blocks":
+        model = dataclasses.replace(model, blocks=[], hard_gates=None)
+    return model, data
+
+
 class TestPackedGradients:
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_gradient_has_the_layout_that_pack_makes(self, kind):
+        model, data = model_of_kind(kind)
+        grad = loss_and_grads(model, data.rows, data.targets,
+                              TrainConfig(lam=0.01))[1]
+        params = pack(copy.deepcopy(model))
+        assert list(grad) == list(params)
+        assert grad.spans == params.spans
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_never_packed_model_keeps_its_arrays(self, kind):
+        # the loss reads the model's arrays where they are and rebinds
+        # none of them
+        model, data = model_of_kind(kind)
+        before = param_arrays(model)
+        values = {k: a.copy() for k, a in before.items()}
+        loss_and_grads(model, data.rows, data.targets, TrainConfig(lam=0.01))
+        after = param_arrays(model)
+        assert list(after) == list(before)
+        for k, a in before.items():
+            assert after[k] is a, k
+            np.testing.assert_array_equal(a, values[k], err_msg=k)
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("reg", ["l2", "l1"])
+    def test_penalty_is_a_sum_over_the_weight_arrays(self, relaxed, reg):
+        # while the gates are relaxed only the wide weights are penalised,
+        # otherwise every weight array; never a bias, omega, w0 or logit
+        model, data = gated_model(relaxed)
+        weights = ["pl.w"] if relaxed else \
+            ["pl.w", "blocks.W0", "blocks.W1", "blocks.head_w"]
+        lam = 0.01
+        base, grad0 = loss_and_grads(model, data.rows, data.targets,
+                                     TrainConfig(lam=0.0))
+        value, grad = loss_and_grads(model, data.rows, data.targets,
+                                     TrainConfig(lam=lam, reg=reg))
+        arrays = param_arrays(model)
+        omega = sum(float(np.sum(arrays[k] * arrays[k])) if reg == "l2"
+                    else float(np.sum(np.abs(arrays[k]))) for k in weights)
+        assert value - base == pytest.approx(lam * omega, rel=1e-9)
+        for k in grad:
+            expected = grad0[k]
+            if k in weights:
+                expected = expected + (arrays[k] * (2.0 * lam) if reg == "l2"
+                                       else np.sign(arrays[k]) * lam)
+            np.testing.assert_array_equal(grad[k], expected, err_msg=k)
+
     @pytest.mark.parametrize("relaxed", [True, False])
     @pytest.mark.parametrize("reg", ["l2", "l1"])
     def test_packed_and_unpacked_agree_bit_for_bit(self, relaxed, reg):
@@ -291,7 +353,6 @@ class TestPackedGradients:
         value, grad = loss_and_grads(model, data.rows, data.targets, cfg)
         value_u, grad_u = loss_and_grads(unpacked, data.rows, data.targets,
                                          cfg)
-        assert unpacked.packed is None
         assert value == value_u
         assert list(grad) == list(grad_u)
         np.testing.assert_array_equal(grad.flat, grad_u.flat)
@@ -305,7 +366,6 @@ class TestPackedGradients:
         clone.blocks[1].head_w += 1.0
         clone.pl.w += 0.5
         unpacked = copy.deepcopy(clone)
-        unpacked.packed = None
         cfg = TrainConfig(lam=0.01)
         value, grad = loss_and_grads(clone, data.rows, data.targets, cfg)
         value_u, grad_u = loss_and_grads(unpacked, data.rows, data.targets,
