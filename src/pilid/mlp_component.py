@@ -1,10 +1,14 @@
 """Plain feed-forward network with exact reverse-mode gradients.
 
 Forward: h0 = x, hl = act(Wl h(l-1) + bl), output = wy . hL + by.
-Everything is float64 numpy; no autodiff framework.  Each layer adds its
-bias and applies its activation in place on its matmul output.  The
-backward pass writes the parameter gradients into arrays it is given,
-such as views of the trainer's one gradient vector, or into fresh ones.
+Plain numpy; no autodiff framework.  Every pass computes in the dtype of
+the network's arrays: the input is cast to it, and the activations, the
+deltas and their scratch take it, so float64 arrays give float64 passes
+and float32 arrays float32 ones.  Each layer adds its bias and applies
+its activation in place on its matmul output.  The backward pass writes
+the parameter gradients into arrays it is given, such as views of the
+trainer's one float64 gradient vector, or into fresh ones in the
+network's dtype.
 
 B networks of the same widths and activation that read the same input
 run side by side when their arrays carry a leading block axis of length
@@ -38,7 +42,7 @@ class MlpParams:
     axis of length B (`blocks`).
 
     head_b is an array (0-d for one network) so the optimizer can update
-    it in place.
+    it in place; one that is not an array takes head_w's dtype.
     """
 
     weights: list[np.ndarray]        # W^l, shape ([B,] p_l, p_{l-1})
@@ -48,7 +52,7 @@ class MlpParams:
     activation: str = "relu"
 
     def __post_init__(self):
-        self.head_b = np.asarray(self.head_b, dtype=np.float64)
+        self.head_b = np.asarray(self.head_b, dtype=self.head_w.dtype)
         lead = self.head_b.shape
         if len(lead) > 1:
             raise MlpError(f"head bias of shape {lead} is neither a scalar "
@@ -112,7 +116,7 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _input_batch(x: np.ndarray, params: MlpParams) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.head_w.dtype)
     if not np.all(np.isfinite(x)):
         raise MlpError("non-finite input")
     h = np.atleast_2d(x)
@@ -142,7 +146,7 @@ def _hidden(h: np.ndarray, params: MlpParams):
         if l == 0:
             z = h @ W.reshape(-1, W.shape[-1]).T
         else:
-            z = np.empty((h.shape[0], b.size))
+            z = np.empty((h.shape[0], b.size), dtype=h.dtype)
             np.matmul(_side(h, nb), _mats(W, nb).swapaxes(-1, -2),
                       out=_side(z, nb))
         z += b.reshape(-1)
@@ -196,25 +200,31 @@ def mlp_backward(params: MlpParams, cache: list[np.ndarray],
 
     `upstream` is dLoss/dOutput, a scalar or length-N vector matching the
     forward batch, the same for every network side by side; gradients are
-    summed over the batch.  They are written into `out`'s arrays, which
-    have the shapes of the parameters (fresh ones when `out` is None), and
-    `out` is returned; given arrays must be C-contiguous, so that their
+    summed over the batch.  The deltas are in the dtype of the cache, to
+    which `upstream` is cast.  The gradients are written into `out`'s
+    arrays, which have the shapes of the parameters and any float dtype
+    (fresh ones in the parameters' dtype when `out` is None), and `out`
+    is returned; given arrays must be C-contiguous, so that their
     reshapes are views.  The first layer's weight gradient of all blocks
     is one matmul of that layer's deltas with the input; the input's own
     gradient is not formed.
     """
     if len(cache) != len(params.weights) + 1:
         raise MlpError("cache does not match network depth")
-    up = np.atleast_1d(np.asarray(upstream, dtype=np.float64))
     hL = cache[-1]
+    up = np.atleast_1d(np.asarray(upstream, dtype=hL.dtype))
     if up.shape != (hL.shape[0],):
         raise MlpError(f"upstream shape {up.shape} does not match batch "
                        f"size {hL.shape[0]}")
     if out is None:
-        out = MlpGrads(weights=[np.empty(W.shape) for W in params.weights],
-                       biases=[np.empty(b.shape) for b in params.biases],
-                       head_w=np.empty(params.head_w.shape),
-                       head_b=np.empty(np.shape(params.head_b)))
+        out = MlpGrads(weights=[np.empty(W.shape, W.dtype)
+                                for W in params.weights],
+                       biases=[np.empty(b.shape, b.dtype)
+                               for b in params.biases],
+                       head_w=np.empty(params.head_w.shape,
+                                       params.head_w.dtype),
+                       head_b=np.empty(params.head_b.shape,
+                                       params.head_b.dtype))
     elif not all(a.flags.c_contiguous
                  for a in (*out.weights, *out.biases, out.head_w)):
         raise MlpError("gradient arrays must be C-contiguous")
@@ -237,7 +247,7 @@ def mlp_backward(params: MlpParams, cache: list[np.ndarray],
                       out=_mats(gW, nb))
         np.sum(delta, axis=0, out=out.biases[l].reshape(-1))
         if l:
-            below = np.empty((h.shape[0], cache[l].shape[1]))
+            below = np.empty((h.shape[0], cache[l].shape[1]), dtype=h.dtype)
             np.matmul(_side(delta, nb), _mats(params.weights[l], nb),
                       out=_side(below, nb))
             delta = below

@@ -106,9 +106,9 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
     """
     if B < 1 or K < 1 or lambda0 < 0:
         raise TrainingError("need B >= 1, K >= 1, lambda0 >= 0")
-    model, segments = init_training(data, gammas, block_widths, config,
-                                    activation=activation, B=B, K=K,
-                                    lambda0=lambda0)
+    model, rows, segments = init_training(
+        data, gammas, block_widths, config, activation=activation, B=B, K=K,
+        lambda0=lambda0)
 
     # phase 1: learn gates under the order penalty
     optimizer = Adam(pack(model).flat, config)
@@ -118,7 +118,7 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
         model.gates.temperature = max(
             TEMPERATURE_FLOOR, TEMPERATURE_START * TEMPERATURE_DECAY ** epoch)
         phase1_trace.append(train_epoch(
-            model, data, segments, config, optimizer, epoch,
+            model, data, rows, segments, config, optimizer, epoch,
             f"phase 1, epoch {epoch + 1}"))
         if estimated_orders(model.gates).max() <= K:
             capped = False
@@ -133,8 +133,9 @@ def train_pilib(data: Dataset, gammas, block_widths, B: int, K: int,
     model.hard_gates = gate_values(model.gates, "eval")
     drop_closed_blocks(model)
     optimizer = Adam(pack(model).flat, config)
-    phase2_trace = [train_epoch(model, data, segments, config, optimizer,
-                                10_000 + epoch, f"phase 2, epoch {epoch + 1}")
+    phase2_trace = [train_epoch(model, data, rows, segments, config,
+                                optimizer, 10_000 + epoch,
+                                f"phase 2, epoch {epoch + 1}")
                     for epoch in range(config.epochs)]
 
     diagnostics = {

@@ -412,11 +412,20 @@ def pack(model: PilidModel) -> ParamVector:
     return params
 
 
-def _gated(blocks: MlpParams, G: np.ndarray) -> MlpParams:
-    """The blocks side by side with their gate rows G folded into a copy
-    of the first layer's weights; the other arrays are the blocks' own."""
-    return dataclasses.replace(blocks, weights=[
-        blocks.weights[0] * G[:, None, :], *blocks.weights[1:]])
+def _gated(blocks: MlpParams, G: np.ndarray, dtype=np.float64) -> MlpParams:
+    """The blocks side by side in `dtype`, with their gate rows G folded
+    into a copy of the first layer's weights, rounded once to `dtype`.  The
+    other arrays are copies in `dtype`, or the blocks' own when they are of
+    it already."""
+    W0 = blocks.weights[0]
+    gated = np.multiply(W0, G[:, None, :], out=np.empty(W0.shape, dtype))
+    return dataclasses.replace(
+        blocks,
+        weights=[gated, *(W.astype(dtype, copy=False)
+                          for W in blocks.weights[1:])],
+        biases=[b.astype(dtype, copy=False) for b in blocks.biases],
+        head_w=blocks.head_w.astype(dtype, copy=False),
+        head_b=blocks.head_b.astype(dtype, copy=False))
 
 
 def _finite_rows(X: np.ndarray) -> np.ndarray:
@@ -468,7 +477,15 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
     mlp_backward for all of them, none when there is no block.  The wide
     component reads `segments`, the rows' (U, F) of `locate`, when the
     caller holds them, and otherwise locates the rows itself.
+
+    The blocks run in the dtype of the rows `X`: float32 rows, such as
+    the run's copy that `init_training` makes, give a float32 network
+    forward and backward pass, on float32 copies of the blocks' arrays;
+    float64 rows give float64 passes on the blocks' own arrays.  The wide
+    component, the loss, the regulariser and the gradient vector are
+    float64 whatever the rows' dtype.
     """
+    dtype = np.result_type(np.asarray(X).dtype, np.float32)
     X = _finite_rows(check_rows(X, model.points))
     y = np.asarray(y, dtype=np.float64)
     relaxed = model.gates_relaxed
@@ -481,7 +498,7 @@ def loss_and_grads(model: PilidModel, X: np.ndarray, y: np.ndarray,
         score, T = segment_forward(U, F, model.pl, model.points)
     blocks = model.blocks
     if len(blocks):
-        net = _gated(blocks, G)
+        net = _gated(blocks, G, dtype)
         out, cache = mlp_forward(X, net)
         for row in out:
             score = score + row
@@ -571,12 +588,20 @@ def init_training(data: Dataset, gammas, mlp_widths, config: TrainConfig,
                   lambda0: float = 0.1):
     """Build points and initialize the model: one always-open block
     (PiLiD), or, given B, B blocks with gate logits under order cap K and
-    pairwise pressure lambda0 (PiLiB).  Returns the model and the segments
-    (U, F) of the training rows in its wide component (None without one),
-    located once for the run: the least-squares start and every batch
-    read them, as the knots stay fixed."""
+    pairwise pressure lambda0 (PiLiB).  Returns the model, the training
+    rows in float32 and their segments (U, F) in its wide component (None
+    without one).  Both are made once for the run and every batch reads
+    them: the float32 rows are the blocks' input, and the segments,
+    located from the float64 rows as the knots stay fixed, the wide
+    component's and the least-squares start's."""
     points = build_points(data, gammas)
     segments = None if mlp_only else locate(data.rows, points)
+    try:
+        with np.errstate(over="raise"):
+            rows = data.rows.astype(np.float32)
+    except FloatingPointError:
+        raise TrainingError("a feature value is beyond the float32 range "
+                            "that the network trains in") from None
     hidden = parse_widths(mlp_widths)
     streams = [[config.seed, 1]] if B is None else \
         [[config.seed, 100 + i] for i in range(B)]
@@ -607,7 +632,7 @@ def init_training(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     model = PilidModel(pl=pl, blocks=blocks, points=points, task=data.task,
                        feature_names=data.feature_names, gates=gates,
                        train_means=means)
-    return model, segments
+    return model, rows, segments
 
 
 def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
@@ -616,19 +641,19 @@ def init_model(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     return init_training(data, gammas, mlp_widths, config, **options)[0]
 
 
-def train_epoch(model: PilidModel, data: Dataset, segments,
-                config: TrainConfig, optimizer: Adam, stream: int,
+def train_epoch(model: PilidModel, data: Dataset, rows: np.ndarray,
+                segments, config: TrainConfig, optimizer: Adam, stream: int,
                 label: str) -> float:
     """One Adam pass over the mini-batches of (config.seed, stream); returns
-    the mean batch loss.  Each batch's segments are its rows of
-    `segments`, the located rows of `init_training`.  `label` names the
-    epoch in errors."""
+    the mean batch loss.  Each batch reads its rows of `rows` and
+    `segments`, the float32 rows and the segments of `init_training`, and
+    its targets of `data`.  `label` names the epoch in errors."""
     losses = []
     for idx in batches(data.n, config.batch_size, config.seed, stream):
         located = None if segments is None else \
             (segments[0][idx], segments[1][idx])
-        value, grads = loss_and_grads(model, data.rows[idx],
-                                      data.targets[idx], config, located)
+        value, grads = loss_and_grads(model, rows[idx], data.targets[idx],
+                                      config, located)
         if not np.isfinite(value):
             raise TrainingError(
                 f"non-finite loss in {label}; try a smaller learning rate "
@@ -647,11 +672,11 @@ def train(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     Returns the model and the per-epoch mean training loss trace.
     Deterministic for a fixed config seed.
     """
-    model, segments = init_training(data, gammas, mlp_widths, config,
-                                    mlp_only=mlp_only, pl_init=pl_init,
-                                    activation=activation)
+    model, rows, segments = init_training(
+        data, gammas, mlp_widths, config, mlp_only=mlp_only, pl_init=pl_init,
+        activation=activation)
     optimizer = Adam(pack(model).flat, config)
-    trace = [train_epoch(model, data, segments, config, optimizer, epoch,
-                         f"epoch {epoch + 1}")
+    trace = [train_epoch(model, data, rows, segments, config, optimizer,
+                         epoch, f"epoch {epoch + 1}")
              for epoch in range(config.epochs)]
     return model, trace

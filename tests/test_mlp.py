@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pilid import mlp_component
 from pilid.mlp_component import (
     MlpError,
     MlpGrads,
@@ -260,6 +261,89 @@ class TestSideBySide:
             MlpParams(weights=[W[None] for W in net.weights],
                       biases=[b[None] for b in net.biases],
                       head_w=net.head_w, head_b=np.zeros(1))
+
+
+def in_float32(net):
+    """A copy of the network `net` with every array in float32."""
+    return MlpParams(weights=[W.astype(np.float32) for W in net.weights],
+                     biases=[b.astype(np.float32) for b in net.biases],
+                     head_w=net.head_w.astype(np.float32),
+                     head_b=net.head_b.astype(np.float32),
+                     activation=net.activation)
+
+
+class RecordingNumpy:
+    """numpy, but for the dtypes of the arrays handed to matmul, outer and
+    sum, which it records."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _recorded(self, name, *args, **kwargs):
+        self.dtypes += [a.dtype for a in args if isinstance(a, np.ndarray)]
+        return getattr(np, name)(*args, **kwargs)
+
+    def matmul(self, *args, **kwargs):
+        return self._recorded("matmul", *args, **kwargs)
+
+    def outer(self, *args, **kwargs):
+        return self._recorded("outer", *args, **kwargs)
+
+    def sum(self, *args, **kwargs):
+        return self._recorded("sum", *args, **kwargs)
+
+
+class TestFloat32:
+    """A float32 network computes in float32: a silent upcast anywhere in
+    its passes would cost the speed that float32 is for."""
+
+    @staticmethod
+    def network(B, activation):
+        nets = [tiny_net(activation, seed, widths=(5, 7, 6, 4))
+                for seed in range(B or 1)]
+        return in_float32(nets[0] if B is None else side_by_side(nets))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("B", [None, 1, 3])
+    def test_every_pass_stays_float32(self, B, activation, monkeypatch):
+        net = self.network(B, activation)
+        rng = np.random.default_rng(3)
+        X = rng.normal(0, 1, (9, 5))        # float64 rows are cast
+        out, cache = mlp_forward(X, net)
+        assert out.dtype == np.float32
+        assert [h.dtype for h in cache] == [np.float32] * 4
+        np.testing.assert_array_equal(mlp_predict(X, net), out, strict=True)
+        recording = RecordingNumpy()
+        monkeypatch.setattr(mlp_component, "np", recording)
+        # float64 upstream and gradient arrays, as the trainer hands them
+        grads = mlp_backward(net, cache, rng.normal(0, 1, 9), out=MlpGrads(
+            weights=[np.empty(W.shape) for W in net.weights],
+            biases=[np.empty(b.shape) for b in net.biases],
+            head_w=np.empty(net.head_w.shape),
+            head_b=np.empty(net.head_b.shape)))
+        # every delta, activation, weight and upstream the backward pass
+        # multiplies or sums is float32
+        assert len(recording.dtypes) > 3 * len(net.weights)
+        assert set(recording.dtypes) == {np.dtype(np.float32)}
+        assert grads.weights[0].dtype == np.float64
+
+    def test_fresh_gradients_take_the_network_dtype(self):
+        net = self.network(2, "relu")
+        _, cache = mlp_forward(np.ones((4, 5)), net)
+        g = mlp_backward(net, cache, np.ones(4))
+        assert {a.dtype for a in (*g.weights, *g.biases, g.head_w,
+                                  g.head_b)} == {np.dtype(np.float32)}
+
+    def test_float32_network_is_float64_to_float32_rounding(self):
+        rng = np.random.default_rng(5)
+        net = tiny_net("tanh", 2, widths=(5, 7, 6, 4))
+        X = rng.normal(0, 1, (50, 5))
+        out64 = mlp_forward(X, net)[0]
+        out32 = mlp_forward(X, in_float32(net))[0]
+        np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-5)
 
 
 class TestInit:

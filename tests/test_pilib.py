@@ -335,15 +335,19 @@ class TestDropClosedBlocks:
     def test_phase_two_runs_only_the_open_blocks(self, monkeypatch):
         # one network forward per step, over every block side by side in
         # phase 1 and over exactly the open blocks in phase 2
-        phase2, calls = [], []
+        phase2, packed, calls = [], [], []
         real_pack, real_forward = pilib.pack, trainer.mlp_forward
 
         def pack(model):
             phase2.append(model.hard_gates is not None)
+            packed.append(model)
             return real_pack(model)
 
         def mlp_forward(x, net):
-            calls.append((phase2[-1], net))
+            # the packed blocks' arrays at this step, in float32
+            blocks = packed[-1].blocks
+            calls.append((phase2[-1], net, blocks.head_w.astype(np.float32),
+                          blocks.biases[0].astype(np.float32)))
             return real_forward(x, net)
 
         monkeypatch.setattr(pilib, "pack", pack)
@@ -353,17 +357,17 @@ class TestDropClosedBlocks:
         model, diag = train_pilib(data, 3, [6], 6, 3, 0.3, cfg)
         assert 0 < len(model.blocks) < 6
         steps = math.ceil(data.n / cfg.batch_size)
-        first = [net for two, net in calls if not two]
-        second = [net for two, net in calls if two]
+        first = [net for two, net, *_ in calls if not two]
+        second = [call[1:] for call in calls if call[0]]
         assert len(first) == len(diag["phase1_trace"]) * steps
         assert all(net.blocks == 6 for net in first)
         assert len(second) == cfg.epochs * steps
-        for net in second:
+        for net, head_w, b0 in second:
             assert net.blocks == len(model.blocks)
-            for i, blk in enumerate(model.blocks):
-                # the stacked views are the open blocks' own arrays
-                assert np.shares_memory(net.head_w[i], blk.head_w)
-                assert np.shares_memory(net.biases[0][i], blk.biases[0])
+            # the network's arrays are float32 copies of the open blocks'
+            # own, row i of each block i's
+            np.testing.assert_array_equal(net.head_w, head_w, strict=True)
+            np.testing.assert_array_equal(net.biases[0], b0, strict=True)
 
     def test_trained_model_holds_only_open_blocks(self, trained):
         (model, diag), _ = trained

@@ -18,6 +18,9 @@ from pilid.pl_component import (
     segment_forward,
 )
 from pilid import trainer
+from pilid.persist import save
+from pilid.pilib import train_pilib
+from pilid.synth import SyntheticSpec, generate
 from pilid.trainer import (
     CHUNK,
     Adam,
@@ -551,6 +554,84 @@ class TestBlocksReference:
         model = init_model(data, 4, [8, 8], cfg, mlp_only=True)
         pack(model)
         self.compare(model, data, cfg, 0.0)
+
+
+class TestFloat32Network:
+    """Float32 rows run the blocks in float32; the wide component, the
+    loss and the gradient vector stay float64."""
+
+    @staticmethod
+    def record_networks(monkeypatch):
+        nets = []
+        real = trainer.mlp_forward
+
+        def mlp_forward(x, net):
+            nets.append(net)
+            return real(x, net)
+
+        monkeypatch.setattr(trainer, "mlp_forward", mlp_forward)
+        return nets
+
+    @pytest.mark.parametrize("kind", ["pilid", "mlp_only", "relaxed_pilib",
+                                      "hard_pilib"])
+    def test_float32_rows_match_float64_rows(self, kind, monkeypatch):
+        model, data = model_of_kind(kind)
+        pack(model)
+        cfg = TrainConfig(lam=0.01)
+        # located from the float64 rows, as a training run does
+        located = None if model.pl is None else locate(data.rows,
+                                                       model.points)
+        nets = self.record_networks(monkeypatch)
+        value, grad = loss_and_grads(model, data.rows, data.targets, cfg,
+                                     located)
+        value32, grad32 = loss_and_grads(
+            model, data.rows.astype(np.float32), data.targets, cfg, located)
+        assert [net.head_w.dtype for net in nets] == [np.float64, np.float32]
+        assert type(value32) is float
+        assert grad32.flat.dtype == np.float64
+        assert abs(value32 - value) <= 1e-5 * abs(value)
+        assert list(grad32) == list(grad)
+        for name, want in grad.items():
+            scale = max(np.max(np.abs(want)), 1e-300)
+            assert np.max(np.abs(grad32[name] - want)) <= 1e-4 * scale, name
+
+    @pytest.mark.parametrize("B", [None, 3])
+    def test_training_runs_the_network_in_float32(self, B, monkeypatch):
+        nets = self.record_networks(monkeypatch)
+        data = toy_data(n=100, m=3)
+        model = trainer.init_model(data, 3, [6], TrainConfig(seed=1), B=B)
+        trainer.train_epoch(
+            model, data, data.rows.astype(np.float32),
+            locate(data.rows, model.points), TrainConfig(batch_size=32),
+            Adam(pack(model).flat, TrainConfig()), 0, "epoch 1")
+        assert len(nets) == 4
+        assert {a.dtype for net in nets for a in (
+            *net.weights, *net.biases, net.head_w, net.head_b)} \
+            == {np.dtype(np.float32)}
+        assert {a.dtype for a in param_arrays(model).values()} \
+            == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("command", ["train", "train-pilib"])
+    def test_same_seed_runs_write_identical_bytes(self, command, tmp_path):
+        # a 64-wide layer, so that the float32 matmuls are BLAS calls
+        data, _ = generate(SyntheticSpec(m=4, n=600, seed=2))
+        cfg = TrainConfig(epochs=2, batch_size=128, seed=4)
+        paths = [tmp_path / f"{i}.plm" for i in range(2)]
+        for path in paths:
+            if command == "train":
+                model = train(data, 4, [64, 32], cfg)[0]
+            else:
+                model = train_pilib(data, 4, [64, 32], 3, 2, 0.1, cfg)[0]
+            save(model, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_feature_beyond_the_float32_range_is_rejected(self):
+        data = toy_data(n=20, m=2)
+        rows = data.rows.copy()
+        rows[3, 1] = 1e39
+        data = dataclasses.replace(data, rows=rows)
+        with pytest.raises(TrainingError, match="float32 range"):
+            train(data, 3, [4], TrainConfig(epochs=1))
 
 
 class TestJointGradients:
