@@ -42,7 +42,8 @@ class MlpParams:
     axis of length B (`blocks`).
 
     head_b is an array (0-d for one network) so the optimizer can update
-    it in place; one that is not an array takes head_w's dtype.
+    it in place; it is cast to head_w's dtype, a copy when it is of
+    another.
     """
 
     weights: list[np.ndarray]        # W^l, shape ([B,] p_l, p_{l-1})

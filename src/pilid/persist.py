@@ -2,14 +2,16 @@
 
 A model file is UTF-8 text: `pilid-model <version>`, a SHA-256 checksum
 of the payload, then one key and its values per line, so a load
-reproduces the parameters bit for bit.  Format 3 has one layout for every
-model: task, features, names, points, the wide component (`pl none`, or
-`pl present` and its arrays), `blocks B` and each block's `blk{i}.`
-arrays, the gates (`gates.meta none`, or `gates.meta` and
-`gates.log_alpha`), hard_gates and train_means (an array or `none`), and
-the fingerprint.  The model holds its blocks as one network with a
-leading block axis, so `blk{i}.` is block i's slice of it: blocks of
-different widths or activation make a malformed file, in every format.
+reproduces the parameters bit for bit.  A load reads the file line by
+line, twice: once to check its checksum, once to parse it.  Format 3 has
+one layout for every model: task, features, names, points, the wide
+component (`pl none`, or `pl present` and its arrays), `blocks B` and
+each block's `blk{i}.` arrays, the gates (`gates.meta none`, or
+`gates.meta` and `gates.log_alpha`), hard_gates and train_means (an
+array or `none`), and the fingerprint.  The model holds its blocks as
+one network with a leading block axis, so `blk{i}.` is block i's slice
+of it: blocks of different widths or activation make a malformed file,
+in every format.
 An array line holds the key, the array's shape and one base64 token of
 its little-endian float64 bytes (no token when the array is empty); the
 scalars and knots a person reads (`pl.w0`, `head_b`, `gates.meta`,
@@ -156,21 +158,21 @@ def _base64(key: str, token: str, count: int) -> np.ndarray:
 
 
 class _Reader:
-    def __init__(self, lines: list[str], version: int):
-        self.lines = lines
-        self.pos = 0
+    def __init__(self, lines, version: int):
+        self.lines = lines      # an iterator of lines with their newlines
         self.hex_arrays = version < 3
 
     def next(self, key: str, count: int = 1, exact: bool = True) -> list[str]:
         """Values of the next line, which must be `key` with exactly
         `count` values (at least, unless `exact`)."""
-        if self.pos >= len(self.lines):
+        line = next(self.lines, None)
+        if line is None:
             raise PersistError(f"truncated model file: expected {key!r}")
-        parts = self.lines[self.pos].split()
+        parts = line.split()
         if not parts or parts[0] != key:
+            shown = line[:40].rstrip("\n")
             raise PersistError(f"malformed model file: expected {key!r}, "
-                               f"got {self.lines[self.pos][:40]!r}")
-        self.pos += 1
+                               f"got {shown!r}")
         return _counted(key, parts[1:], count, exact)
 
     def count(self, key: str, least: int) -> int:
@@ -293,46 +295,72 @@ def _read_blocks(r: _Reader, prefixes: list[str],
     return net
 
 
-def load(path) -> PilidModel:
-    """Load a model file of format 1, 2 or 3 into the one model class."""
+def _payload_digest(lines) -> str:
+    """The SHA-256 hex digest of the payload lines `lines`, each with its
+    newline, as `save` wrote them.  A last line that is empty, after
+    another, is a blank line after the payload, not part of it; a last
+    line without its newline counts as having one, and no line at all as
+    one empty line."""
+    digest = hashlib.sha256()
+    n, line, blank = 0, "", False
+    for n, line in enumerate(lines, 1):
+        if blank:
+            digest.update(b"\n")
+        blank = line == "\n"
+        if not blank:
+            digest.update(line.encode())
+    if not line.endswith("\n") or (n == 1 and blank):
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _utf8_error_at(path) -> int | None:
+    """The byte offset of the first invalid UTF-8 in the file `path`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.start
+    return None
+
+
+def load(path) -> PilidModel:
+    """Load a model file of format 1, 2 or 3 into the one model class.
+
+    The file is read twice, line by line, through one open handle: the
+    first pass checks that it is UTF-8 and its checksum, the second
+    parses it, so that one line of its text is held at a time.  A line
+    ends at a newline, a carriage return or both."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            head, check = next(f, "").split(), next(f, "").split()
+            digest = _payload_digest(f)
+            if head[:1] != [MAGIC]:
+                raise PersistError(f"{path}: not a model file")
+            if len(head) < 2:
+                raise PersistError(f"{path}: missing format version")
+            version = head[1]
+            if version not in [str(v) for v in range(1, FORMAT_VERSION + 1)]:
+                raise PersistError(f"{path}: unsupported format version "
+                                   f"{version} (reads 1 to {FORMAT_VERSION})")
+            if len(check) != 2 or check[0] != "checksum":
+                raise PersistError(f"{path}: missing checksum")
+            if digest != check[1]:
+                raise PersistError(f"{path}: checksum mismatch (corrupt or "
+                                   f"truncated)")
+            f.seek(0)
+            next(f), next(f)
+            # a PersistError, a count that is no int, or gate settings out
+            # of range
+            try:
+                return _read_model(_Reader(f, int(version)),
+                                   version == "1")
+            except (ValueError, TrainingError) as exc:
+                raise PersistError(f"{path}: {exc}") from None
     except OSError as exc:
         raise PersistError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError:
         raise PersistError(f"{path}: not a model file (invalid UTF-8 at "
-                           f"byte {exc.start})") from None
-    lines = text.splitlines()
-    del text    # the lines alone are parsed; one copy of the file is enough
-    head = lines[0].split() if lines else []
-    if head[:1] != [MAGIC]:
-        raise PersistError(f"{path}: not a model file")
-    if len(head) < 2:
-        raise PersistError(f"{path}: missing format version")
-    version = head[1]
-    if version not in [str(v) for v in range(1, FORMAT_VERSION + 1)]:
-        raise PersistError(f"{path}: unsupported format version {version} "
-                           f"(reads 1 to {FORMAT_VERSION})")
-    check = lines[1].split() if len(lines) > 1 else []
-    if len(check) != 2 or check[0] != "checksum":
-        raise PersistError(f"{path}: missing checksum")
-    # the digest of "\n".join(lines[2:]) and a newline unless that ends in
-    # one, fed line by line so that the payload is not copied whole
-    body = lines[2:]
-    if len(body) > 1 and body[-1] == "":
-        body.pop()
-    digest = hashlib.sha256()
-    for line in body or [""]:
-        digest.update(line.encode())
-        digest.update(b"\n")
-    if digest.hexdigest() != check[1]:
-        raise PersistError(f"{path}: checksum mismatch (corrupt or truncated)")
-
-    # a PersistError, a count that is no int, or gate settings out of range
-    try:
-        return _read_model(_Reader(lines[2:], int(version)), version == "1")
-    except (ValueError, TrainingError) as exc:
-        raise PersistError(f"{path}: {exc}") from None
+                           f"byte {_utf8_error_at(path)})") from None
 
 
 def _read_model(r: _Reader, v1: bool) -> PilidModel:

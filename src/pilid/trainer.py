@@ -22,12 +22,19 @@ Every array is optimized jointly with mini-batch Adam, without the
 (N, gamma) encoding, through one loss/gradient function and one epoch
 loop.  The knots stay fixed for a run, so a run locates its training rows'
 segments once (`init_training`): the least-squares start and every batch
-read them.  `_slots` lists the trainable arrays, and one layout follows
-from it (`_layout`): one float64 vector holding every array in that order,
-the weights first, and each layer of the blocks' network, every block's
-W0, then every block's W1 and so on to every head, and the biases
-likewise, is one (B, ...) view of it.  The loss reads the model's own
-arrays, whatever they are views of, and its backward passes write into
+read them.  The blocks compute in the dtype of the rows they are handed:
+a run also makes one float32 copy of its training rows, so each batch's
+network forward and backward pass is float32, on float32 copies of the
+blocks' arrays made once per batch, while the wide component, the loss,
+the regulariser, the gradient vector, Adam and the parameters themselves
+stay float64 (mixed precision with float64 master weights).  Float64
+rows, as the gradient checks hand them, give float64 passes on the
+blocks' own arrays.  `_slots` lists the trainable arrays, and one layout
+follows from it (`_layout`): one float64 vector holding every array in
+that order, the weights first, and each layer of the blocks' network,
+every block's W0, then every block's W1 and so on to every head, and the
+biases likewise, is one (B, ...) view of it.  The loss reads the model's
+own arrays, whatever they are views of, and its backward passes write into
 the views of one fresh gradient vector of that layout.  The regulariser
 (on the wide weights while the gates are relaxed, otherwise on every
 weight, never on biases, omega, w0 or gate logits) adds to each weight's
@@ -425,7 +432,7 @@ def _gated(blocks: MlpParams, G: np.ndarray, dtype=np.float64) -> MlpParams:
                           for W in blocks.weights[1:])],
         biases=[b.astype(dtype, copy=False) for b in blocks.biases],
         head_w=blocks.head_w.astype(dtype, copy=False),
-        head_b=blocks.head_b.astype(dtype, copy=False))
+        head_b=blocks.head_b)
 
 
 def _finite_rows(X: np.ndarray) -> np.ndarray:

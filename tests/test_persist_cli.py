@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 import urllib.parse
 import warnings
 import xml.etree.ElementTree as ET
@@ -177,6 +178,58 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistError, match="cannot read"):
             load(tmp_path / "absent.plm")
+
+
+class TestLineByLine:
+    """`load` reads a file line by line, twice: no whole copy of its text
+    is held."""
+
+    def test_holds_a_few_lines_of_text_at_most(self, tmp_path):
+        data = toy_data(n=60, m=4)
+        model = trainer.init_model(data, 3, [100] * 10, TrainConfig(seed=1))
+        path = tmp_path / "model.plm"
+        save(model, path)
+        longest = max(len(line) for line in path.read_bytes().splitlines())
+        arrays = sum(a.nbytes for a in trainer.param_arrays(model).values())
+        assert path.stat().st_size > 8 * longest
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole text, or every line, held at once would take more
+        assert peak < arrays + 4 * longest, (peak, arrays, longest)
+        X = np.random.default_rng(1).uniform(0, 1, (20, 4))
+        np.testing.assert_array_equal(model_forward(loaded, X)[0],
+                                      model_forward(model, X)[0])
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_other_line_ends_load_the_same_model(self, trained_model,
+                                                 tmp_path, end):
+        path = tmp_path / "model.plm"
+        save(trained_model, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        X = np.random.default_rng(2).uniform(0.0, 1.0, (20, 3))
+        np.testing.assert_array_equal(model_forward(load(path), X)[0],
+                                      model_forward(trained_model, X)[0])
+
+    def test_invalid_utf8_far_into_the_file_comes_first(self, tmp_path):
+        # past the first read of the file, and under a wrong magic line:
+        # the whole file is checked to be UTF-8 before anything else
+        model = trainer.init_model(toy_data(n=60, m=4), 3, [100, 100],
+                                   TrainConfig(seed=1))
+        path = tmp_path / "model.plm"
+        save(model, path)
+        raw = bytearray(path.read_bytes())
+        assert len(raw) > 20_000
+        raw[0:5] = b"xxxxx"
+        raw[20_000] = 0xb9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PersistError) as exc:
+            load(path)
+        assert str(exc.value) == \
+            f"{path}: not a model file (invalid UTF-8 at byte 20000)"
 
 
 def write_payload(path, payload_lines, version=FORMAT_VERSION):
