@@ -677,7 +677,8 @@ def train(data: Dataset, gammas, mlp_widths, config: TrainConfig,
     back-propagating through both components simultaneously.
 
     Returns the model and the per-epoch mean training loss trace.
-    Deterministic for a fixed config seed.
+    Deterministic for a fixed config seed on a fixed BLAS build and
+    thread count.
     """
     model, rows, segments = init_training(
         data, gammas, mlp_widths, config, mlp_only=mlp_only, pl_init=pl_init,
