@@ -90,7 +90,8 @@ class MlpParams:
 
     def __getitem__(self, i) -> MlpParams:
         """Network i of networks side by side, as views of their arrays;
-        for an index array or mask, the networks it selects."""
+        for an index array or mask, the networks it selects.  `None` adds
+        a block axis of length 1 to one network, as views of its arrays."""
         return MlpParams(weights=[W[i] for W in self.weights],
                          biases=[b[i] for b in self.biases],
                          head_w=self.head_w[i], head_b=self.head_b[i, ...],

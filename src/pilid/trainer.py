@@ -145,8 +145,9 @@ class PilidModel:
 
     `pl` is None for the plain-MLP baseline.  `blocks` holds the B >= 0
     blocks as one network with a leading block axis (see mlp_component);
-    a list of networks of equal widths and activation is stacked into
-    one, here and nowhere else.  Without gate logits (PiLiD) `hard_gates`
+    a list of networks of equal widths and activation, as training starts
+    from and a load reads, is stacked into one here and nowhere else
+    (`_stacked`).  Without gate logits (PiLiD) `hard_gates`
     defaults to all ones and the model is one always-open block.  With
     logits (PiLiB) the gates are relaxed while `hard_gates` is None, and
     frozen to its 0/1 rows once it is set.
@@ -183,8 +184,10 @@ class PilidModel:
 
 
 def _stacked(nets: list[MlpParams], m: int) -> MlpParams:
-    """The networks `nets` on m features side by side, in copies of their
-    arrays; with none, a zero-width layer on the m features."""
+    """The networks `nets` on m features side by side: one network as views
+    of its arrays with a block axis of length 1, more in copies of their
+    arrays; with none, a zero-width layer on the m features.  Networks of
+    other widths, depth or activation than one another are refused."""
     if len({(n.activation, *(W.shape for W in n.weights))
             for n in nets}) > 1:
         raise TrainingError("the blocks differ in widths or activation")
@@ -192,6 +195,8 @@ def _stacked(nets: list[MlpParams], m: int) -> MlpParams:
         return MlpParams(weights=[np.zeros((0, 0, m))],
                          biases=[np.zeros((0, 0))], head_w=np.zeros((0, 0)),
                          head_b=np.zeros(0))
+    if len(nets) == 1:
+        return nets[0][None]
     return MlpParams(
         weights=[np.stack(W) for W in zip(*(n.weights for n in nets))],
         biases=[np.stack(b) for b in zip(*(n.biases for n in nets))],

@@ -1,10 +1,12 @@
 """The benchmark reaches the program by name and reads what the CLI
-writes: every layer function that bench/tracing.py wraps, and
-`trainer.Adam.step`, must exist, and `pilid predict` must write what
-bench/run.py parses.  The benchmark's own tests are not collected here, so
-without these checks a rename or a format change would only break
-benchmark runs."""
+writes: every layer function that bench/tracing.py wraps,
+`trainer.Adam.step`, and every attribute of a pilid module that the
+benchmark's code and tests read must exist, and `pilid predict` must
+write what bench/run.py parses.  The benchmark's own tests are not
+collected here, so without these checks a rename or a format change would
+only break benchmark runs."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pilid import cli, dataset, persist, trainer
+from pilid import cli, dataset, persist, pilib, trainer
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -33,6 +35,40 @@ def layer_functions():
 def test_layer_function_resolves(module, attr):
     fn = getattr(importlib.import_module(f"pilid.{module}"), attr, None)
     assert callable(fn), f"pilid.{module}.{attr}"
+
+
+# the pilid modules the benchmark imports under these names
+BENCH_IMPORTS = {"cli": cli, "dataset": dataset, "persist": persist,
+                 "pilib": pilib, "trainer": trainer}
+
+
+def bench_references():
+    """Each `module.attr[.attr...]` read in bench/*.py and bench/tests/*.py
+    of a module in BENCH_IMPORTS, as a tuple of names."""
+    refs = set()
+    for path in [*BENCH.glob("*.py"), *BENCH.glob("tests/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names, value = [], node
+            while isinstance(value, ast.Attribute):
+                names.insert(0, value.attr)
+                value = value.value
+            if names and isinstance(value, ast.Name) \
+                    and value.id in BENCH_IMPORTS:
+                refs.add((value.id, *names))
+    return sorted(refs)
+
+
+@pytest.mark.parametrize("ref", bench_references(), ids=".".join)
+def test_benchmark_reference_resolves(ref):
+    obj = BENCH_IMPORTS[ref[0]]
+    for name in ref[1:]:
+        assert hasattr(obj, name), ".".join(ref)
+        obj = getattr(obj, name)
+
+
+def test_one_block_network_property_exists():
+    # bench/tests/test_bench.py reads a loaded model's `mlp`
+    assert isinstance(trainer.PilidModel.mlp, property)
 
 
 def test_adam_step_exists():

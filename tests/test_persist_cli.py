@@ -364,28 +364,54 @@ class TestOneModelLayouts:
         assert_round_trip(model_of_kind(kind, trained_model),
                           tmp_path / "model.plm")
 
-    @pytest.mark.parametrize("source", ["pilid", "two_blocks_no_logits",
-                                        "no_blocks", "v1_pilid", "v2_pilib",
-                                        "v3_pilib"])
+    @pytest.mark.parametrize("source", ["pilid", "no_blocks", "v1_pilid"])
     def test_load_stacks_no_block_again(self, source, trained_model,
                                         tmp_path, monkeypatch):
-        # the reader hands the model its blocks already side by side, so
-        # the model's constructor copies none of them
+        # the model holds a file's one block in the arrays the reader
+        # decoded, with no second copy; a file without blocks hands none
         path = DATA / f"{source}.plm"
         if not path.exists():
             path = tmp_path / "model.plm"
             save(model_of_kind(source, trained_model), path)
         expected = len(load(path).blocks)
         real_stacked = trainer._stacked
+        handed = []
 
         def stacked(nets, m):
-            assert not nets, "a loaded block was stacked again"
+            assert len(nets) == expected
+            handed.extend(nets)
             return real_stacked(nets, m)
 
         monkeypatch.setattr(trainer, "_stacked", stacked)
-        assert len(load(path).blocks) == expected
+        blocks = load(path).blocks
+        assert len(blocks) == len(handed) == expected
+        for net in handed:
+            for got, read in zip(network_arrays(blocks),
+                                 network_arrays(net)):
+                assert np.shares_memory(got, read)
 
-    @pytest.mark.parametrize("differ", ["widths", "activation"])
+    def test_a_block_count_the_file_does_not_hold_allocates_nothing(
+            self, trained_model, tmp_path):
+        # the blocks are read as the file holds them: a count above theirs
+        # fails at the first block it lacks, with nothing allocated per
+        # block it claims
+        path = tmp_path / "model.plm"
+        save(model_of_kind("two_blocks_no_logits", trained_model), path)
+        payload = path.read_text(encoding="utf-8").splitlines()[2:]
+        payload[payload.index("blocks 2")] = "blocks 100000"
+        write_payload(path, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PersistError) as exc:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"{path}: malformed model file: expected "
+                                  f"'blk2.meta', got 'gates.meta none'")
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("differ", ["widths", "depth", "activation"])
     def test_blocks_that_differ_in_shape_are_malformed(
             self, differ, trained_model, tmp_path):
         # no writer makes such a file: a model holds its blocks as one
@@ -395,13 +421,15 @@ class TestOneModelLayouts:
         payload = path.read_text(encoding="utf-8").splitlines()[2:]
         i = next(i for i, line in enumerate(payload)
                  if line.startswith("blk1."))
-        if differ == "widths":
-            save(train(toy_data(), 4, [5], TrainConfig(epochs=1, seed=2))[0],
-                 path)
+        n = sum(line.startswith("blk1.") for line in payload)
+        if differ != "activation":
+            widths = [5] if differ == "widths" else [6, 6]
+            save(train(toy_data(), 4, widths,
+                       TrainConfig(epochs=1, seed=2))[0], path)
             other = [line.replace("blk0.", "blk1.", 1) for line in
                      path.read_text(encoding="utf-8").splitlines()
                      if line.startswith("blk0.")]
-            payload[i:i + len(other)] = other
+            payload[i:i + n] = other
         else:
             assert payload[i] == "blk1.meta relu 1"
             payload[i] = "blk1.meta tanh 1"
@@ -411,6 +439,10 @@ class TestOneModelLayouts:
                                                "blocks differ in widths or "
                                                "activation$"):
             load(path)
+
+
+def network_arrays(net):
+    return [*net.weights, *net.biases, net.head_w, net.head_b]
 
 
 def model_of_kind(kind, pilid_model):

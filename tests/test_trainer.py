@@ -8,7 +8,7 @@ import pytest
 
 from pilid.dataset import Dataset, FeatureSpec
 from pilid.encoding import build_points, encode_matrix
-from pilid.mlp_component import MlpParams, mlp_forward
+from pilid.mlp_component import MlpParams, init_gaussian, mlp_forward
 from pilid.pl_component import (
     PiecewiseLinearParams,
     curve_forward,
@@ -490,6 +490,33 @@ def closed_and_open_gates(B, m, rng):
     if B > 2:
         G[1] = 1.0
     return G
+
+
+class TestStackedBlocks:
+    def test_one_network_is_held_as_views_that_training_leaves_alone(self):
+        # a model built from one network holds views of its arrays, and
+        # packing copies them into the parameter vector before Adam moves
+        # them, so the network handed in keeps its values
+        data = toy_data()
+        net = init_gaussian([data.m, 5, 3], 0.3, [0, 1])
+        kept = copy.deepcopy(net)
+
+        def arrays(n):
+            return [*n.weights, *n.biases, n.head_w, n.head_b]
+
+        assert all(np.shares_memory(a, b) for a, b in
+                   zip(arrays(trainer._stacked([net], data.m)), arrays(net)))
+        model = dataclasses.replace(init_model(data, 3, [5, 3],
+                                               TrainConfig(seed=1)),
+                                    blocks=[net])
+        assert np.shares_memory(model.blocks.head_w, net.head_w)
+        cfg = TrainConfig(lam=0.01)
+        params = pack(model)
+        grad = loss_and_grads(model, data.rows, data.targets, cfg)[1]
+        Adam(params.flat, cfg).step(grad.flat)
+        assert not np.array_equal(model.blocks.weights[0][0], kept.weights[0])
+        for a, b in zip(arrays(net), arrays(kept)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBlocksReference:
